@@ -17,6 +17,11 @@ class NotFullDimensional(ToriparamError):
     pass
 
 
+class NonIntegerInput(ToriparamError, ValueError):
+    """A coordinate, offset or dimension that must be an int was not one
+    (floats, strings and bools included)."""
+
+
 class UnsupportedDimension(ToriparamError):
     pass
 

@@ -9,12 +9,11 @@ facet variable in a point's monomial is the lattice distance <m, n_i> + a_i.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import (NotFullDimensional, NotInSupport, PointOutsidePolytope,
-                     UnsupportedDimension, ZeroVector)
+from .errors import (NonIntegerInput, NotFullDimensional, NotInSupport,
+                     PointOutsidePolytope, UnsupportedDimension, ZeroVector)
 from .linalg import IntMat, determinant, primitive_vector, rank
 
 IntVec = tuple[int, ...]
@@ -27,6 +26,18 @@ class Facet(NamedTuple):
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
+
+
+def _strict_int(x) -> int:
+    """x itself if it is an int; floats, strings and bools are refused
+    rather than truncated or coerced."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise NonIntegerInput(f"expected an integer, got {x!r}")
+
+
+def _int_vec(v: Iterable) -> IntVec:
+    return tuple(_strict_int(x) for x in v)
 
 
 def _affine_rank(points: Sequence[IntVec]) -> int:
@@ -67,8 +78,84 @@ def _cross3(a: IntVec, b: IntVec) -> IntVec:
             a[0] * b[1] - a[1] * b[0])
 
 
+def _sub3(a: IntVec, b: IntVec) -> IntVec:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _first_simplex(points: list[IntVec]) -> tuple[int, int, int, int]:
+    """Indices of four affinely independent points, earliest first."""
+    a = 0
+    b = next((i for i, p in enumerate(points) if p != points[a]), None)
+    if b is not None:
+        e = _sub3(points[b], points[a])
+        c = next((i for i, p in enumerate(points)
+                  if any(_cross3(e, _sub3(p, points[a])))), None)
+        if c is not None:
+            normal = _cross3(e, _sub3(points[c], points[a]))
+            d = next((i for i, p in enumerate(points)
+                      if _dot(normal, _sub3(p, points[a]))), None)
+            if d is not None:
+                return a, b, c, d
+    raise NotFullDimensional("points do not span 3-space")
+
+
+def _hull_3d(points: list[IntVec]) -> set[Facet]:
+    """Facet planes of a full-dimensional conv(points) in 3-space.
+
+    Incremental hull over a triangulated boundary (de Berg et al.,
+    *Computational Geometry*, ch. 11) in exact integers.  Each triangle
+    (i, j, k) keeps its outward normal N and level c = <N, p_i>; a point q
+    sees it when <N, q> > c.  A point that sees no triangle is inside or on
+    the boundary and is skipped; otherwise the triangles it sees are
+    replaced by a cone from q over their horizon.  Coplanar triangles of
+    one facet share their plane, so the facets are the distinct planes.
+    Cost: points x current triangles, at most 2n - 4 of them.
+    """
+    simplex = _first_simplex(points)
+    faces = []
+
+    def add_face(i: int, j: int, k: int):
+        p = points[i]
+        normal = _cross3(_sub3(points[j], p), _sub3(points[k], p))
+        faces.append((i, j, k, normal, _dot(normal, p)))
+
+    for skip in range(4):
+        i, j, k = (v for t, v in enumerate(simplex) if t != skip)
+        ref = _sub3(points[simplex[skip]], points[i])
+        if _dot(_cross3(_sub3(points[j], points[i]),
+                        _sub3(points[k], points[i])), ref) > 0:
+            j, k = k, j
+        add_face(i, j, k)
+
+    for q, (x, y, z) in enumerate(points):
+        visible = [f for f in faces
+                   if f[3][0] * x + f[3][1] * y + f[3][2] * z > f[4]]
+        if not visible:
+            continue
+        edges = set()
+        for i, j, k, _, _ in visible:
+            edges.update(((i, j), (j, k), (k, i)))
+        faces = [f for f in faces
+                 if f[3][0] * x + f[3][1] * y + f[3][2] * z <= f[4]]
+        for i, j in edges:
+            if (j, i) not in edges:
+                add_face(i, j, q)
+
+    out = set()
+    for i, _, _, normal, _ in faces:
+        inward = primitive_vector(tuple(-v for v in normal))
+        out.add(Facet(inward, -_dot(points[i], inward)))
+    return out
+
+
 def _facets_from_points(n: int, points: list[IntVec]) -> list[Facet]:
-    """Irredundant primitive facet inequalities of conv(points), n <= 3."""
+    """Irredundant primitive facet inequalities of conv(points), n <= 3,
+    sorted lexicographically.
+
+    Dimension 1 reads off the two ends, dimension 2 walks the monotone-chain
+    hull's edges, and dimension 3 uses the incremental hull of ``_hull_3d``;
+    all three are exact.  The points must span the ambient space.
+    """
     facets: set[Facet] = set()
     if n == 1:
         lo = min(p[0] for p in points)
@@ -83,20 +170,7 @@ def _facets_from_points(n: int, points: list[IntVec]) -> list[Facet]:
             normal = primitive_vector((-d[1], d[0]))
             facets.add(Facet(normal, -_dot(p, normal)))
     else:
-        for tri in itertools.combinations(points, 3):
-            p1, p2, p3 = tri
-            normal = _cross3(tuple(p2[i] - p1[i] for i in range(3)),
-                             tuple(p3[i] - p1[i] for i in range(3)))
-            if all(x == 0 for x in normal):
-                continue
-            sides = {(_dot(p, normal) - _dot(p1, normal) > 0) -
-                     (_dot(p, normal) - _dot(p1, normal) < 0) for p in points}
-            if 1 in sides and -1 in sides:
-                continue
-            if -1 in sides:
-                normal = tuple(-x for x in normal)
-            normal = primitive_vector(normal)
-            facets.add(Facet(normal, -_dot(p1, normal)))
+        facets = _hull_3d(points)
     return sorted(facets)
 
 
@@ -115,13 +189,13 @@ class LatticePolytope:
     facets: tuple[Facet, ...]
 
     def __post_init__(self):
-        n = self.dim
+        n = _strict_int(self.dim)
         if n < 1:
             raise UnsupportedDimension(f"dimension {n}")
         object.__setattr__(self, "vertices",
-                           tuple(tuple(int(x) for x in v) for v in self.vertices))
+                           tuple(_int_vec(v) for v in self.vertices))
         object.__setattr__(self, "facets",
-                           tuple(Facet(tuple(int(x) for x in f[0]), int(f[1]))
+                           tuple(Facet(_int_vec(f[0]), _strict_int(f[1]))
                                  for f in self.facets))
         if any(len(v) != n for v in self.vertices):
             raise NotFullDimensional("vertex length does not match dimension")
@@ -145,10 +219,6 @@ class LatticePolytope:
             if set(self.facets) != expected:
                 raise ValueError("facet list does not cut out the convex hull "
                                  "of the vertices")
-
-    @property
-    def facet_count(self) -> int:
-        return len(self.facets)
 
     def offsets(self) -> IntVec:
         return tuple(f.offset for f in self.facets)
@@ -177,10 +247,10 @@ class LatticePolytope:
 
     @classmethod
     def from_json(cls, data: dict) -> "LatticePolytope":
-        n = int(data["dim"])
-        vertices = [tuple(int(x) for x in v) for v in data["vertices"]]
+        n = _strict_int(data["dim"])
+        vertices = [_int_vec(v) for v in data["vertices"]]
         if "facets" in data:
-            facets = [Facet(tuple(int(x) for x in f["normal"]), int(f["offset"]))
+            facets = [Facet(_int_vec(f["normal"]), _strict_int(f["offset"]))
                       for f in data["facets"]]
             return cls(n, tuple(vertices), tuple(facets))
         return polytope_from_vertices(n, vertices)
@@ -193,10 +263,10 @@ def polytope_from_vertices(n: int, points: Sequence[Sequence[int]]
     Supported for n in {1, 2, 3}; higher dimensions must be constructed
     directly from a validated facet presentation.
     """
-    if n not in (1, 2, 3):
+    if _strict_int(n) not in (1, 2, 3):
         raise UnsupportedDimension(
             f"hull computation supports dimensions 1-3, not {n}")
-    pts = [tuple(int(x) for x in p) for p in points]
+    pts = [_int_vec(p) for p in points]
     if any(len(p) != n for p in pts):
         raise NotFullDimensional("point length does not match dimension")
     pts = sorted(set(pts))
@@ -237,9 +307,6 @@ class Cone:
         if len(idx) != len(self.ray_indices):
             raise ValueError("duplicate ray indices in a cone")
         object.__setattr__(self, "ray_indices", idx)
-
-    def contains_rays(self, indices: Iterable[int]) -> bool:
-        return set(indices) <= set(self.ray_indices)
 
 
 @dataclass(frozen=True)
@@ -306,29 +373,50 @@ def is_smooth(f: Fan) -> tuple[bool, tuple[Cone, ...]]:
 
 
 def primitive_collections(f: Fan) -> tuple["PrimitiveCollection", ...]:
-    """All minimal sets of rays not contained in a single cone.
+    """All minimal sets of rays not contained in a single cone, ordered by
+    size and then by ray indices.
 
-    Brute-force subset enumeration; fans here are small.  Every proper
-    subset of a returned collection lies in some maximal cone.
+    These are the minimal non-faces, and each one is a face plus one ray
+    (Batyrev 1991): dropping any ray i from a collection S leaves a set
+    inside some maximal cone C, with i outside C.  So for every maximal cone
+    C and ray i outside it, subsets F of C grow one ray at a time, in index
+    order, while F + {i} stays inside some cone; the first ray j of C that
+    pushes F + {i, j} out of every cone gives a candidate, which is kept
+    when every one-smaller subset lies in a cone.  Cost: faces x rays,
+    not the 2^r subsets.
     """
-    r = f.ray_count
-    cone_sets = [set(c.ray_indices) for c in f.max_cones]
+    # bit c of masks[i] is set when ray i lies in maximal cone c, so a set of
+    # rays lies in some cone exactly when the AND of its masks is nonzero
+    masks = [0] * f.ray_count
+    for c, cone in enumerate(f.max_cones):
+        for i in cone.ray_indices:
+            masks[i] |= 1 << c
 
-    def in_some_cone(s: frozenset) -> bool:
-        return any(s <= cs for cs in cone_sets)
+    def in_some_cone(rays: Iterable[int]) -> bool:
+        m = -1
+        for k in rays:
+            m &= masks[k]
+        return m != 0
 
-    found: list[tuple[int, ...]] = []
-    for size in range(2, r + 1):
-        for combo in itertools.combinations(range(r), size):
-            s = frozenset(combo)
-            if in_some_cone(s):
+    found: set[tuple[int, ...]] = set()
+    for cone in f.max_cones:
+        gens = cone.ray_indices
+        for i in range(f.ray_count):
+            if i in gens:
                 continue
-            if any(frozenset(sub) <= s for sub in found):
-                continue
-            if all(in_some_cone(s - {i}) for i in combo):
-                found.append(combo)
-    found.sort(key=lambda c: (len(c), c))
-    return tuple(PrimitiveCollection(c) for c in found)
+            stack = [((), masks[i], 0)]   # (F, AND over F + {i}, next index)
+            while stack:
+                face, m, start = stack.pop()
+                for pos in range(start, len(gens)):
+                    j = gens[pos]
+                    if m & masks[j]:
+                        stack.append((face + (j,), m & masks[j], pos + 1))
+                        continue
+                    s = face + (i, j)
+                    if all(in_some_cone(x for x in s if x != k) for k in face):
+                        found.add(tuple(sorted(s)))
+    return tuple(PrimitiveCollection(c)
+                 for c in sorted(found, key=lambda c: (len(c), c)))
 
 
 @dataclass(frozen=True)
@@ -443,9 +531,3 @@ class Frame:
 def frame_of(p: LatticePolytope) -> Frame:
     return Frame(p, normal_fan(p), p.offsets())
 
-
-def load_polytope(path_or_data) -> LatticePolytope:
-    if isinstance(path_or_data, dict):
-        return LatticePolytope.from_json(path_or_data)
-    with open(path_or_data, "r", encoding="utf-8") as fh:
-        return LatticePolytope.from_json(json.load(fh))

@@ -1,12 +1,16 @@
 """Minimal resolution of complete 2D fans and virtual facet data.
 
-A singular 2D cone is subdivided along the lattice points of the compact
-part of the boundary of conv(cone ∩ Z^2 \\ {0}); consecutive boundary
-points span unimodular cones, the subdivision is the unique minimal smooth
-refinement, and smooth cones pass through unchanged.  Added rays behave
-like facets of the polytope through supporting hyperplanes: each gets the
-unique offset whose hyperplane touches the polytope along the face cut out
-by the smallest original cone containing the ray.
+A singular 2D cone cone(u, w), d = det(u, w) > 1, is subdivided along the
+lattice points of the compact part of the boundary of
+conv(cone ∩ Z^2 \\ {0}).  They come from the Hirzebruch-Jung walk (Fulton,
+*Introduction to Toric Varieties*, §2.6): starting at u, the next point p
+is the one with det(prev, p) = 1 and 0 <= det(p, w) < det(prev, w), found
+with one extended gcd, until the walk reaches w.  Consecutive points span
+unimodular cones, the subdivision is the unique minimal smooth refinement,
+and smooth cones pass through unchanged.  Added rays behave like facets of
+the polytope through supporting hyperplanes: each gets the unique offset
+whose hyperplane touches the polytope along the face cut out by the
+smallest original cone containing the ray.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NotARefinement, UnsupportedDimension
-from .polytope import (Cone, Fan, Frame, IntVec, LatticePolytope,
+from .linalg import _egcd
+from .polytope import (Cone, Fan, Frame, IntVec, LatticePolytope, _dot,
                        normal_fan, smallest_containing_cone)
 
 
@@ -23,52 +28,19 @@ def _det2(a: IntVec, b: IntVec) -> int:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
-
-
-def _boundary_points(u: IntVec, w: IntVec) -> list[IntVec]:
-    """Lattice points on the compact hull boundary of cone(u, w), u to w.
-
-    Computed as the additively irreducible points of the cone semigroup:
-    every candidate lives in the fundamental parallelogram {su + tw :
-    0 <= s, t <= 1}, and a point is on the boundary polyline exactly when
-    it is not a sum of two nonzero cone points.
-    """
+def _hirzebruch_jung(u: IntVec, w: IntVec) -> list[IntVec]:
+    """Rays strictly inside cone(u, w), det(u, w) > 0, that its minimal
+    resolution adds, in order from u toward w; one step per added ray."""
+    out = []
     d = _det2(u, w)
-    corners = [(0, 0), u, w, (u[0] + w[0], u[1] + w[1])]
-    xs = [c[0] for c in corners]
-    ys = [c[1] for c in corners]
-    candidates = []
-    for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            if (x, y) == (0, 0):
-                continue
-            # coordinates of (x, y) in the (u, w) basis
-            s_num = _det2((x, y), w)
-            t_num = _det2(u, (x, y))
-            if 0 <= s_num <= d and 0 <= t_num <= d:
-                candidates.append((x, y))
-    cset = set(candidates)
-    irreducible = []
-    for p in candidates:
-        if any((p[0] - a[0], p[1] - a[1]) in cset for a in candidates
-               if a != p):
-            continue
-        irreducible.append(p)
-    # Sweep from u toward w; directions inside a strongly convex cone are
-    # totally ordered by the sign of the cross product.
-    return sorted(irreducible, key=_AngleKey)
-
-
-class _AngleKey:
-    __slots__ = ("p",)
-
-    def __init__(self, p):
-        self.p = p
-
-    def __lt__(self, other):
-        return _det2(self.p, other.p) > 0
+    while d > 1:
+        _, x, y = _egcd(u[0], u[1])          # u0*x + u1*y = 1
+        p = (-y, x)                          # det(u, p) = 1
+        t = -(_det2(p, w) // d)              # brings det(p, w) into [0, d)
+        u = (p[0] + t * u[0], p[1] + t * u[1])
+        out.append(u)
+        d = _det2(u, w)
+    return out
 
 
 @dataclass(frozen=True)
@@ -122,12 +94,15 @@ def minimal_resolution(f: Fan) -> ResolvedFan:
         if _det2(u, w) < 0:
             i, j = j, i
             u, w = w, u
+        if _det2(u, w) == 0:
+            raise ValueError(f"maximal cone on rays {u} and {w} is not "
+                             "two-dimensional")
         if _det2(u, w) == 1:
             new_cones.append(cone)
             continue
-        path = _boundary_points(u, w)
-        assert path[0] == u and path[-1] == w
-        for p in path[1:-1]:
+        inner = _hirzebruch_jung(u, w)
+        path = [u, *inner, w]
+        for p in inner:
             if p not in index:
                 index[p] = len(rays)
                 rays.append(p)

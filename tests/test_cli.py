@@ -211,3 +211,34 @@ class TestMalformedJson:
         code, _, err = run(capsys, "fan", str(bad))
         assert code == 2
         assert "error:" in err
+
+
+class TestNonIntegerGeometry:
+    def _run(self, tmp_path, capsys, data, command="fan"):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        return run(capsys, command, str(path))
+
+    def _square(self, paths):
+        with open(paths["square"], encoding="utf-8") as fh:
+            return json.load(fh)
+
+    def test_fractional_offset_exit_2(self, paths, tmp_path, capsys):
+        data = self._square(paths)
+        data["facets"][1]["offset"] = 0.7
+        code, out, err = self._run(tmp_path, capsys, data)
+        assert code == 2
+        assert "0.7" in err and out == ""
+
+    def test_boolean_dimension_exit_2(self, paths, tmp_path, capsys):
+        data = self._square(paths)
+        data["dim"] = True
+        code, _, err = self._run(tmp_path, capsys, data, "points")
+        assert code == 2
+        assert "True" in err
+
+    def test_fractional_vertex_without_facets_exit_2(self, tmp_path, capsys):
+        data = {"dim": 2, "vertices": [[0, 0], [1.5, 0], [0, 1]]}
+        code, _, err = self._run(tmp_path, capsys, data, "resolve")
+        assert code == 2
+        assert "1.5" in err

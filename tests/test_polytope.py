@@ -1,16 +1,22 @@
+import itertools
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from toriparam.errors import (NotFullDimensional, PointOutsidePolytope,
-                              UnsupportedDimension, ZeroVector)
-from toriparam.linalg import IntMat, solve_integer_linear
-from toriparam.polytope import (Cone, Facet, Fan, LatticePolytope, frame_of,
+from toriparam.errors import (NonIntegerInput, NotFullDimensional,
+                              PointOutsidePolytope, UnsupportedDimension,
+                              ZeroVector)
+from toriparam.linalg import IntMat, primitive_vector, solve_integer_linear
+from toriparam.polytope import (Cone, Facet, Fan, LatticePolytope,
+                                _facets_from_points, frame_of,
                                 is_smooth, lattice_points,
                                 monomial_exponents, normal_fan,
                                 polytope_from_vertices,
                                 primitive_collections,
                                 smallest_containing_cone)
+from toriparam.resolution import minimal_resolution
 
 from conftest import PENTAGON_FACETS, SQUARE_FACETS
 
@@ -337,3 +343,140 @@ class TestPyramid3D:
             if v == (0, 0, 0):
                 continue
             smallest_containing_cone(fan, v)
+
+
+# -- property tests against the brute-force oracles ------------------------------
+
+ORACLE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+GRID3 = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
+
+
+def by_size(collections):
+    return sorted(collections, key=lambda c: (len(c), c))
+
+
+def triple_scan_facets(points):
+    """Oracle: every plane through three of the points that has all points
+    on one side, as an inward primitive normal and offset, sorted."""
+    facets = set()
+    for p1, p2, p3 in itertools.combinations(points, 3):
+        a = tuple(p2[i] - p1[i] for i in range(3))
+        b = tuple(p3[i] - p1[i] for i in range(3))
+        normal = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                  a[0] * b[1] - a[1] * b[0])
+        if normal == (0, 0, 0):
+            continue
+        level = sum(x * y for x, y in zip(p1, normal))
+        sides = {(sum(x * y for x, y in zip(p, normal)) > level)
+                 - (sum(x * y for x, y in zip(p, normal)) < level)
+                 for p in points}
+        if 1 in sides and -1 in sides:
+            continue
+        if -1 in sides:
+            normal = tuple(-x for x in normal)
+        normal = primitive_vector(normal)
+        facets.add(Facet(normal, -sum(x * y for x, y in zip(p1, normal))))
+    return sorted(facets)
+
+
+def _polytope_or_skip(dim, points):
+    try:
+        return polytope_from_vertices(dim, points)
+    except NotFullDimensional:
+        assume(False)
+
+
+class TestKernelsAgainstOracles:
+    @ORACLE_SETTINGS
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                    min_size=3, max_size=8))
+    def test_collections_of_resolved_polygons(self, points):
+        fan = minimal_resolution(
+            normal_fan(_polytope_or_skip(2, points))).fan
+        assume(fan.ray_count <= 12)
+        got = [c.ray_indices for c in primitive_collections(fan)]
+        assert got == by_size(brute_force_collections(fan))
+
+    @ORACLE_SETTINGS
+    @given(st.sets(st.sampled_from(GRID3), min_size=4, max_size=10))
+    def test_collections_of_3d_normal_fans(self, points):
+        # vertex cones with four or more rays make these fans non-simplicial
+        fan = normal_fan(_polytope_or_skip(3, sorted(points)))
+        assume(fan.ray_count <= 10)
+        got = [c.ray_indices for c in primitive_collections(fan)]
+        assert got == by_size(brute_force_collections(fan))
+
+    @ORACLE_SETTINGS
+    @given(st.sets(st.sampled_from(GRID3), min_size=4, max_size=14))
+    def test_hull_against_triple_scan(self, points):
+        points = sorted(points)
+        p = _polytope_or_skip(3, points)
+        expected = triple_scan_facets(points)
+        assert _facets_from_points(3, points) == expected
+        assert list(p.facets) == expected
+        assert _facets_from_points(3, list(p.vertices)) == expected
+
+    def test_hull_of_shuffled_input(self):
+        rng = random.Random(5150)
+        points = [(rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(-6, 6))
+                  for _ in range(30)]
+        expected = triple_scan_facets(points)
+        for _ in range(5):
+            rng.shuffle(points)
+            assert _facets_from_points(3, points) == expected
+
+    def test_collections_of_40_ray_polygon_are_nonadjacent_pairs(self):
+        # a 2^40 subset scan could not finish; minimal non-faces of a smooth
+        # complete 2-D fan are exactly its pairs of non-adjacent rays
+        p = polytope_from_vertices(2, [(0, 0), (5, 1), (1, 22)])
+        fan = minimal_resolution(normal_fan(p)).fan
+        assert fan.ray_count == 40
+        order = sorted(range(40), key=lambda i: math.atan2(fan.rays[i][1],
+                                                           fan.rays[i][0]))
+        adjacent = {frozenset((order[k], order[(k + 1) % 40]))
+                    for k in range(40)}
+        expected = [pair for pair in itertools.combinations(range(40), 2)
+                    if frozenset(pair) not in adjacent]
+        got = [c.ray_indices for c in primitive_collections(fan)]
+        assert got == expected
+        assert len(got) == 40 * 37 // 2
+
+
+class TestStrictIntegers:
+    @pytest.mark.parametrize("path, bad", [
+        (("facets", 1, "offset"), 0.7),
+        (("facets", 1, "offset"), 1.0),
+        (("facets", 1, "offset"), "1"),
+        (("facets", 0, "normal", 0), True),
+        (("vertices", 2, 1), 1.5),
+        (("dim",), True),
+        (("dim",), 2.0),
+    ])
+    def test_from_json_rejects_non_int(self, square, path, bad):
+        data = square.to_json()
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = bad
+        with pytest.raises(NonIntegerInput):
+            LatticePolytope.from_json(data)
+        data.pop("facets")
+        if path[0] != "facets":
+            with pytest.raises(ValueError):   # NonIntegerInput is one
+                LatticePolytope.from_json(data)
+
+    def test_constructor_rejects_non_int(self):
+        with pytest.raises(NonIntegerInput):
+            LatticePolytope(2, ((0, 0), (1, 0), (0, 1.0)),
+                            (Facet((1, 0), 0), Facet((0, 1), 0),
+                             Facet((-1, -1), 1)))
+        with pytest.raises(NonIntegerInput):
+            LatticePolytope(2, ((0, 0), (1, 0), (0, 1)),
+                            (Facet((1, 0), 0), Facet((0, 1), False),
+                             Facet((-1, -1), 1)))
+
+    def test_hull_rejects_non_int(self):
+        with pytest.raises(NonIntegerInput):
+            polytope_from_vertices(2, [(0, 0), (1, 0), (0, 0.5)])
+        with pytest.raises(NonIntegerInput):
+            polytope_from_vertices(True, [(0,), (1,)])

@@ -1,14 +1,17 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from toriparam.errors import NotARefinement, UnsupportedDimension
 from toriparam.linalg import primitive_vector
 from toriparam.polytope import (Cone, Fan, is_smooth, lattice_points,
                                 normal_fan, polytope_from_vertices,
                                 primitive_collections)
-from toriparam.resolution import (minimal_resolution, resolved_frame,
+from toriparam.resolution import (ResolvedFan, minimal_resolution,
+                                  resolved_frame,
                                   resolved_monomial_exponents,
                                   virtual_facets)
 from toriparam.subtorus import (character_kernel, format_subgroup,
@@ -98,6 +101,61 @@ def complete_fan_through(u, w):
     return Fan(2, (u, w, z), (Cone((0, 1)), Cone((1, 2)), Cone((2, 0))))
 
 
+def boundary_points(u, w):
+    """Oracle: lattice points on the compact hull boundary of cone(u, w),
+    det(u, w) > 0, from u to w, as the additively irreducible points of the
+    fundamental parallelogram {su + tw : 0 <= s, t <= 1}."""
+    d = det2(u, w)
+    corners = [(0, 0), u, w, (u[0] + w[0], u[1] + w[1])]
+    candidates = []
+    for x in range(min(c[0] for c in corners), max(c[0] for c in corners) + 1):
+        for y in range(min(c[1] for c in corners),
+                       max(c[1] for c in corners) + 1):
+            if (x, y) != (0, 0) and 0 <= det2((x, y), w) <= d \
+                    and 0 <= det2(u, (x, y)) <= d:
+                candidates.append((x, y))
+    cset = set(candidates)
+    irreducible = [p for p in candidates
+                   if not any((p[0] - a[0], p[1] - a[1]) in cset
+                              for a in candidates if a != p)]
+    # directions inside a strongly convex cone are ordered by how far they
+    # turn from u
+    return sorted(irreducible, key=lambda p: Fraction(det2(u, p),
+                                                      det2(p, w) + det2(u, p)))
+
+
+def resolution_by_boundary_points(fan):
+    """Oracle: the minimal resolution built cone by cone from
+    ``boundary_points``, numbering and recording new rays as
+    ``minimal_resolution`` does."""
+    rays = list(fan.rays)
+    index = {r: k for k, r in enumerate(rays)}
+    cones, origins = [], []
+    for cone in fan.max_cones:
+        i, j = cone.ray_indices
+        u, w = fan.rays[i], fan.rays[j]
+        if det2(u, w) < 0:
+            i, j, u, w = j, i, w, u
+        if det2(u, w) == 1:
+            cones.append(cone)
+            continue
+        path = boundary_points(u, w)
+        assert path[0] == u and path[-1] == w
+        for p in path[1:-1]:
+            if p not in index:
+                index[p] = len(rays)
+                rays.append(p)
+                origins.append(Cone((i, j)))
+        cones.extend(Cone((index[a], index[b]))
+                     for a, b in zip(path, path[1:]))
+    return ResolvedFan(Fan(2, tuple(rays), tuple(cones)), fan.ray_count,
+                       tuple(origins))
+
+
+PRIMITIVE_2D = st.tuples(st.integers(-20, 20), st.integers(-20, 20)).filter(
+    lambda v: v != (0, 0)).map(primitive_vector)
+
+
 class TestMinimalResolution:
     def test_singular_triangle_adds_one_ray(self, singular_triangle):
         rf = minimal_resolution(normal_fan(singular_triangle))
@@ -146,6 +204,32 @@ class TestMinimalResolution:
             expected = hull_boundary_oracle(u, w, box=bound)
             assert [u, *inserted, w] == expected, (u, w)
             tested += 1
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(PRIMITIVE_2D, PRIMITIVE_2D)
+    def test_walk_against_boundary_points(self, u, w):
+        assume(1 < abs(det2(u, w)) <= 300)
+        try:
+            fan = complete_fan_through(u, w)
+        except ValueError:
+            assume(False)
+        assert minimal_resolution(fan) == resolution_by_boundary_points(fan)
+
+    def test_largest_determinants(self):
+        # det(u, w) = 300 adds 299 rays to cone(u, w); det 299 adds 149
+        for u, w in (((1, 0), (1, 300)), ((1, 0), (150, 299))):
+            fan = complete_fan_through(u, w)
+            assert minimal_resolution(fan) == \
+                resolution_by_boundary_points(fan)
+
+    def test_collinear_cone_rejected(self):
+        # det(u, w) = 0: the walk has nothing to subdivide, and passing the
+        # cone through would call it smooth
+        fan = Fan(2, ((1, 0), (-1, 0), (0, 1), (0, -1)),
+                  (Cone((0, 1)), Cone((0, 2)), Cone((1, 2)), Cone((1, 3)),
+                   Cone((0, 3))))
+        with pytest.raises(ValueError, match="not two-dimensional"):
+            minimal_resolution(fan)
 
     def test_dimension_guard(self):
         cube = polytope_from_vertices(
