@@ -3,7 +3,7 @@
 Stateless single-shot subcommands over polytope JSON files; every command
 offers ``--json`` machine output, and the human output is rendered from the
 same data.  Exit codes: 0 for success or a true verdict, 1 for a false or
-failed verdict, 2 for malformed input.
+failed verdict, 2 for malformed input, 4 for an internal error (a bug).
 """
 
 from __future__ import annotations
@@ -368,6 +368,10 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug: one line, not a traceback
+        print(f"error: internal error ({type(exc).__name__}: {exc})",
+              file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import sympy
 
-from .errors import (IncompleteHints, LengthMismatch,
+from .errors import (IncompleteHints, InternalError, LengthMismatch,
                      MultiParameterUnsupported, NoPreimage,
                      NotMonomialSystem, NotUnivariate)
 from .linalg import IntMat, determinant, solve_integer_linear
@@ -122,7 +122,9 @@ def _decompose(h_raw: Sequence[MultiPoly], p_sys: ParamSystem, fan: Fan,
     reduced = []
     for h in h_raw:
         q = try_divide(h, content)
-        assert q is not None
+        if q is None:
+            raise InternalError("a target component is not divisible by "
+                                "the gcd of all components")
         reduced.append(q)
 
     mono_rows = p_sys.exponent_rows()
@@ -254,7 +256,8 @@ def _coefficient_ranges(particular: Sequence[int], kernel: IntMat,
         if det != 0:
             rows = combo
             break
-    assert rows is not None  # kernel bases have full column rank
+    if rows is None:
+        raise InternalError("kernel basis without full column rank")
     adj = _adjugate(sub)
     ranges = []
     total_size = 1

@@ -92,3 +92,9 @@ class MultiParameterUnsupported(ToriparamError):
 
 class IncompleteHints(ToriparamError):
     pass
+
+
+class InternalError(RuntimeError):
+    """An invariant of the package's own algorithms failed: a bug, not bad
+    input.  Deliberately not a ToriparamError, so that callers who catch
+    input errors do not swallow it."""

@@ -9,15 +9,14 @@ variety.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import LengthMismatch, VariableCountMismatch
+from .errors import InternalError, LengthMismatch, VariableCountMismatch
 from .linalg import IntMat, hermite_normal_form, rank
 from .polynomials import MultiPoly, gcd_many, try_divide
-from .polytope import (Frame, IntVec, LatticePolytope, frame_of,
+from .polytope import (Frame, IntVec, LatticePolytope, _int_vec, frame_of,
                        lattice_points, primitive_collections,
                        PrimitiveCollection, Fan)
 
@@ -38,7 +37,7 @@ class LatticePolynomial:
         clean = []
         seen = set()
         for m, a in self.coefficients:
-            m = tuple(int(x) for x in m)
+            m = _int_vec(m)
             if m in seen:
                 raise ValueError(f"duplicate lattice point {m}")
             seen.add(m)
@@ -133,7 +132,7 @@ class ParamSystem:
             return cls(frame, comps)
         comps = []
         for entry in data["components"]:
-            coeffs = tuple((tuple(int(x) for x in t["m"]), Fraction(t["a"]))
+            coeffs = tuple((_int_vec(t["m"]), Fraction(t["a"]))
                            for t in entry)
             comps.append(LatticePolynomial(frame, coeffs))
         return cls(frame, tuple(comps))
@@ -198,7 +197,7 @@ def subset_monomial_system(p: LatticePolytope | Frame,
     examples are built.
     """
     frame = _as_frame(p)
-    pts = [tuple(int(x) for x in m) for m in points]
+    pts = [_int_vec(m) for m in points]
     comps = tuple(LatticePolynomial.single(frame, m) for m in pts)
     warnings = []
     if not set(frame.polytope.vertices) <= set(pts):
@@ -299,7 +298,9 @@ def compose_system(p_sys: ParamSystem, f: ParamTuple) -> Composition:
     reduced = []
     for h in raw:
         q = try_divide(h, content)
-        assert q is not None
+        if q is None:
+            raise InternalError("a component is not divisible by the gcd "
+                                "of all components")
         reduced.append(q)
     coprime, _ = is_primitive_coprime(f, frame.fan)
     return Composition(content,
@@ -360,9 +361,3 @@ def check_implicit(h: Sequence[MultiPoly], relation: MultiPoly) -> bool:
         total = total + term
     return total.is_zero()
 
-
-def load_system(data: dict | str, frame: Frame) -> ParamSystem:
-    if isinstance(data, str):
-        with open(data, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    return ParamSystem.from_json(data, frame)

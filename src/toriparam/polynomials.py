@@ -1,11 +1,12 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Terms are kept in a map from exponent tuples to nonzero Fractions; the
-canonical term order is graded lexicographic.  Ring arithmetic, evaluation
-and the text grammar are implemented here; multivariate gcd and univariate
-factorization are delegated to sympy behind this module's normalization
-conventions (gcd has content 1 and positive leading coefficient, factors are
-monic, gcd(0, ..., 0) = 0).
+One polynomial engine backs everything here: a ``MultiPoly`` wraps an
+element of sympy's sparse polynomial ring over QQ in graded lexicographic
+order, one ring per variable count, built on first use.  Arithmetic,
+exact division, gcd and univariate factorization all run in that ring.
+This module adds immutability, the text grammar and the normalization
+conventions (gcd has content 1 and positive leading coefficient, factors
+are monic, gcd(0, ..., 0) = 0); coefficients leave it as ``Fraction``.
 """
 
 from __future__ import annotations
@@ -14,27 +15,67 @@ import re
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-import sympy
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.orderings import grlex
+from sympy.polys.polyerrors import ExactQuotientFailed
+from sympy.polys.rings import PolyElement, PolyRing
 
 from .errors import (NotUnivariate, ParseError, VariableCountMismatch,
                      ZeroPolynomial)
 
 Exponents = tuple[int, ...]
 
+# A ring with n generators holds n exponent tuples of length n, so the
+# width is capped rather than letting one request allocate quadratically.
+MAX_VARIABLES = 1000
+# Parenthesized groups nest at most this deep in polynomial text.
+MAX_NESTING = 100
 
-def _grlex_key(e: Exponents) -> tuple:
-    return (sum(e), e)
+_RINGS: dict[int, PolyRing] = {}
+
+
+def _ring(nvars: int) -> PolyRing:
+    ring = _RINGS.get(nvars)
+    if ring is None:
+        if nvars < 1:
+            raise VariableCountMismatch(
+                "polynomials need at least one variable")
+        if nvars > MAX_VARIABLES:
+            raise VariableCountMismatch(
+                f"{nvars} variables exceed the supported {MAX_VARIABLES}")
+        ring = _RINGS[nvars] = PolyRing(f"v_0:{nvars}", QQ, grlex)
+    return ring
+
+
+def _fraction(c) -> Fraction:
+    return Fraction(int(c.numerator), int(c.denominator))
+
+
+def _qq(c):
+    c = Fraction(c)
+    return QQ(c.numerator, c.denominator)
+
+
+_set = object.__setattr__
+
+
+def _wrap(nvars: int, p: PolyElement) -> "MultiPoly":
+    """A MultiPoly around a ring element, with no per-term work."""
+    self = object.__new__(MultiPoly)
+    _set(self, "nvars", nvars)
+    _set(self, "_p", p)
+    _set(self, "_hash", None)
+    return self
 
 
 class MultiPoly:
     """Immutable sparse polynomial in ``nvars`` variables over the rationals."""
 
-    __slots__ = ("nvars", "_terms", "_hash")
+    __slots__ = ("nvars", "_p", "_hash")
 
     def __init__(self, nvars: int, terms: dict[Exponents, Fraction] | None = None):
-        if nvars < 1:
-            raise VariableCountMismatch("polynomials need at least one variable")
-        clean: dict[Exponents, Fraction] = {}
+        ring = _ring(nvars)
+        clean = {}
         for e, c in (terms or {}).items():
             if len(e) != nvars:
                 raise VariableCountMismatch(
@@ -43,10 +84,11 @@ class MultiPoly:
                 raise ValueError(f"negative exponent in {e}")
             c = Fraction(c)
             if c != 0:
-                clean[tuple(int(x) for x in e)] = c
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hash", None)
+                clean[tuple(int(x) for x in e)] = QQ(c.numerator,
+                                                     c.denominator)
+        _set(self, "nvars", nvars)
+        _set(self, "_p", ring.dtype(clean))
+        _set(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -79,52 +121,48 @@ class MultiPoly:
 
     def terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms in descending graded-lex order."""
-        return sorted(self._terms.items(), key=lambda t: _grlex_key(t[0]),
-                      reverse=True)
+        return [(e, _fraction(c)) for e, c in self._p.terms()]
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._p
 
     def is_constant(self) -> bool:
-        return all(all(x == 0 for x in e) for e in self._terms)
+        return self._p.is_ground
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self._terms.get((0,) * self.nvars, Fraction(0))
+        return self.coefficient((0,) * self.nvars)
 
     def total_degree(self) -> int:
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
+        return max(map(sum, self._p), default=-1)
 
     def leading_coefficient(self) -> Fraction:
-        if not self._terms:
-            return Fraction(0)
-        return self._terms[max(self._terms, key=_grlex_key)]
+        return _fraction(self._p.LC)
 
     def used_variables(self) -> tuple[int, ...]:
         used = set()
-        for e in self._terms:
+        for e in self._p:
             for i, x in enumerate(e):
                 if x > 0:
                     used.add(i)
         return tuple(sorted(used))
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(exponents), Fraction(0))
+        c = self._p.get(tuple(exponents))
+        return Fraction(0) if c is None else _fraction(c)
 
     # -- equality / hashing -------------------------------------------------
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MultiPoly) and self.nvars == other.nvars
-                and self._terms == other._terms)
+                and dict.__eq__(self._p, other._p))
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.nvars, frozenset(self._terms.items())))
-            object.__setattr__(self, "_hash", h)
+            h = hash((self.nvars, frozenset(self._p.items())))
+            _set(self, "_hash", h)
         return h
 
     def __repr__(self) -> str:
@@ -139,72 +177,46 @@ class MultiPoly:
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return MultiPoly(self.nvars, out)
+        return _wrap(self.nvars, self._p + other._p)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: -c for e, c in self._terms.items()})
+        return _wrap(self.nvars, -self._p)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
+        self._check(other)
+        return _wrap(self.nvars, self._p - other._p)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(self.nvars, out)
+        return _wrap(self.nvars, self._p * other._p)
 
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = MultiPoly.one(self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        if k == 0:  # the ring refuses 0**0; here it is 1
+            return MultiPoly.one(self.nvars)
+        return _wrap(self.nvars, self._p ** k)
 
     def scale(self, c) -> "MultiPoly":
-        c = Fraction(c)
-        return MultiPoly(self.nvars, {e: c * v for e, v in self._terms.items()})
+        return _wrap(self.nvars, self._p.mul_ground(_qq(c)))
 
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.nvars:
             raise VariableCountMismatch(
                 f"point has {len(point)} coordinates, need {self.nvars}")
-        pt = [Fraction(x) for x in point]
-        total = Fraction(0)
-        for e, c in self._terms.items():
-            v = c
-            for x, k in zip(pt, e):
-                if k:
-                    v *= x ** k
-            total += v
-        return total
+        gens = self._p.ring.gens
+        return _fraction(self._p.subs(list(zip(gens, map(_qq, point)))).LC)
+
+
+def _primitive(f: PolyElement) -> PolyElement:
+    """f over its content, with a positive graded-lex leading coefficient."""
+    _, f = f.primitive()
+    return -f if f.LC < 0 else f
 
 
 def normalized(p: MultiPoly) -> MultiPoly:
     """Scale to content 1 and positive graded-lex leading coefficient."""
-    if p.is_zero():
-        return p
-    coeffs = list(p._terms.values())
-    num_gcd = 0
-    den_lcm = 1
-    for c in coeffs:
-        num_gcd = sympy.igcd(num_gcd, abs(c.numerator))
-        den_lcm = sympy.ilcm(den_lcm, c.denominator)
-    content = Fraction(num_gcd, den_lcm)
-    q = p.scale(1 / content)
-    if q.leading_coefficient() < 0:
-        q = -q
-    return q
+    return _wrap(p.nvars, _primitive(p._p))
 
 
 def try_divide(p: MultiPoly, d: MultiPoly) -> Optional[MultiPoly]:
@@ -212,41 +224,16 @@ def try_divide(p: MultiPoly, d: MultiPoly) -> Optional[MultiPoly]:
     p._check(d)
     if d.is_zero():
         return None
-    lt_d = max(d._terms, key=_grlex_key)
-    lc_d = d._terms[lt_d]
-    quotient: dict[Exponents, Fraction] = {}
-    rem = p
-    while not rem.is_zero():
-        lt_r = max(rem._terms, key=_grlex_key)
-        qe = tuple(a - b for a, b in zip(lt_r, lt_d))
-        if any(x < 0 for x in qe):
-            return None
-        qc = rem._terms[lt_r] / lc_d
-        quotient[qe] = qc
-        rem = rem - MultiPoly.monomial(p.nvars, qe, qc) * d
-    return MultiPoly(p.nvars, quotient)
-
-
-# -- sympy bridge ------------------------------------------------------------
-
-def _sympy_symbols(n: int):
-    return sympy.symbols(f"v_0:{n}")
-
-
-def _to_sympy(p: MultiPoly):
-    syms = _sympy_symbols(p.nvars)
-    d = {e: sympy.Rational(c.numerator, c.denominator)
-         for e, c in p._terms.items()}
-    if not d:
-        return sympy.Poly(0, *syms, domain="QQ")
-    return sympy.Poly.from_dict(d, *syms, domain="QQ")
-
-def _from_sympy(sp, nvars: int) -> MultiPoly:
-    terms = {}
-    for e, c in sp.terms():
-        c = sympy.Rational(c)
-        terms[tuple(int(x) for x in e)] = Fraction(int(c.p), int(c.q))
-    return MultiPoly(nvars, terms)
+    if d.is_constant():
+        return _wrap(p.nvars, p._p.quo_ground(d._p.LC))
+    # an exact quotient has leading monomial lm(p) / lm(d)
+    if p._p and any(a < b for a, b in zip(p._p.leading_expv(),
+                                          d._p.leading_expv())):
+        return None
+    try:
+        return _wrap(p.nvars, p._p.exquo(d._p))
+    except ExactQuotientFailed:
+        return None
 
 
 def gcd_multi(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -255,14 +242,16 @@ def gcd_multi(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     Follows the convention gcd(0, 0) = 0; gcd(p, 0) is the normalized p.
     """
     p._check(q)
-    if p.is_zero() and q.is_zero():
-        return MultiPoly.zero(p.nvars)
-    if p.is_zero():
-        return normalized(q)
-    if q.is_zero():
-        return normalized(p)
-    g = _to_sympy(p).gcd(_to_sympy(q))
-    return normalized(_from_sympy(g, p.nvars))
+    f, g = p._p, q._p
+    if len(f) < 2 or len(g) < 2:  # zero, a constant or a monomial
+        return _wrap(p.nvars, _primitive(f.gcd(g)))
+    # The ring's gcd over QQ also converts both cofactors back from ZZ and
+    # makes the gcd monic; only the gcd of the integer images is kept.
+    # dmp_inner_gcd falls back to a PRS gcd where the heuristic gcd fails.
+    zz = f.ring.clone(domain=ZZ)
+    h, _, _ = zz.dmp_inner_gcd(f.clear_denoms()[1].set_ring(zz),
+                               g.clear_denoms()[1].set_ring(zz))
+    return _wrap(p.nvars, _primitive(h).set_ring(f.ring))
 
 
 def gcd_many(polys: Sequence[MultiPoly]) -> MultiPoly:
@@ -303,28 +292,23 @@ def factor_univariate(p: MultiPoly) -> Factorization:
     if not used:
         return Factorization(p.constant_value(), ())
     var = used[0]
-    x = sympy.Symbol("x")
-    d = {(e[var],): sympy.Rational(c.numerator, c.denominator)
-         for e, c in p._terms.items()}
-    sp = sympy.Poly.from_dict(d, x, domain="QQ")
-    coeff, factor_list = sp.factor_list()
-    coeff = sympy.Rational(coeff)
-    unit = Fraction(int(coeff.p), int(coeff.q))
+    line = _ring(1).dtype({(e[var],): c for e, c in p._p.items()})
+    unit, factor_list = line.factor_list()
+    ring = p._p.ring
+
+    def lift(k: int) -> Exponents:
+        e = [0] * p.nvars
+        e[var] = k
+        return tuple(e)
+
     factors = []
     for f, mult in factor_list:
-        lc = sympy.Rational(f.LC())
-        monic = f.monic()
-        unit *= Fraction(int(lc.p), int(lc.q)) ** mult
-        terms = {}
-        for (e,), c in monic.terms():
-            exp = [0] * p.nvars
-            exp[var] = int(e)
-            c = sympy.Rational(c)
-            terms[tuple(exp)] = Fraction(int(c.p), int(c.q))
-        factors.append((MultiPoly(p.nvars, terms), int(mult)))
-    factors.sort(key=lambda fk: sorted(fk[0]._terms.items(),
-                                       key=lambda t: _grlex_key(t[0])))
-    return Factorization(unit, tuple(factors))
+        unit *= f.LC ** mult
+        monic = ring.dtype({lift(k): c for (k,), c in f.monic().items()})
+        factors.append((_wrap(p.nvars, monic), mult))
+    # by the ascending graded-lex term list, the reverse of the ring's order
+    factors.sort(key=lambda fk: fk[0]._p.terms()[::-1])
+    return Factorization(_fraction(unit), tuple(factors))
 
 
 # -- text grammar --------------------------------------------------------------
@@ -362,13 +346,28 @@ def _var_index(name: str, pos: int) -> tuple[str, int]:
     return kind, idx - 1
 
 
+def _inferred_width(tokens) -> int:
+    """The largest variable index among the tokens, at least 1."""
+    width = 1
+    for kind, val, _ in tokens:
+        if kind == "var":
+            width = max(width, {"u": 1, "v": 2}.get(val) or int(val[1:]))
+    return width
+
+
 class _Parser:
+    """Recursive descent straight into ring elements of a fixed width."""
+
     def __init__(self, text: str, nvars: Optional[int], kind: Optional[str]):
         self.tokens = _tokenize(text)
         self.i = 0
         self.nvars = nvars
         self.kind = kind
-        self.max_index = -1
+        self.depth = 0
+        self.width = _inferred_width(self.tokens) if nvars is None else nvars
+        # a width below 1 is refused once parsing is done, so that errors
+        # in the text are still reported first
+        self.ring = _ring(max(self.width, 1))
 
     def peek(self):
         return self.tokens[self.i]
@@ -383,37 +382,33 @@ class _Parser:
         if kind != "op" or val != op:
             raise ParseError(f"expected {op!r}", pos)
 
-    def parse(self) -> dict[Exponents, Fraction]:
-        terms = self.expr()
+    def parse(self) -> PolyElement:
+        poly = self.expr()
         kind, _, pos = self.peek()
         if kind != "end":
             raise ParseError("trailing input", pos)
-        return terms
+        return poly
 
-    # Terms are collected as {exponent dict} -> coeff over a variable-index
-    # key space; widths are fixed once parsing is done.
     def expr(self):
-        terms = self.term()
+        poly = self.term()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
                 rhs = self.term()
-                sign = 1 if val == "+" else -1
-                for e, c in rhs.items():
-                    terms[e] = terms.get(e, Fraction(0)) + sign * c
+                poly = poly + rhs if val == "+" else poly - rhs
             else:
-                return terms
+                return poly
 
     def term(self):
-        terms = self.unary()
+        poly = self.unary()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                terms = _mul_terms(terms, self.unary())
+                poly = poly * self.unary()
             else:
-                return terms
+                return poly
 
     def unary(self):
         sign = 1
@@ -425,10 +420,8 @@ class _Parser:
                     sign = -sign
             else:
                 break
-        terms = self.power()
-        if sign == -1:
-            terms = {e: -c for e, c in terms.items()}
-        return terms
+        poly = self.power()
+        return -poly if sign == -1 else poly
 
     def power(self):
         base = self.atom()
@@ -438,7 +431,8 @@ class _Parser:
             kind, val, pos = self.take()
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer", pos)
-            return _pow_terms(base, int(val))
+            k = int(val)
+            return base ** k if k else self.ring.one
         return base
 
     def atom(self):
@@ -454,8 +448,8 @@ class _Parser:
                 den = int(v3)
                 if den == 0:
                     raise ParseError("zero denominator", pos3)
-                return {(): Fraction(num, den)}
-            return {(): Fraction(num)}
+                return self.ring.ground_new(QQ(num, den))
+            return self.ring.ground_new(QQ(num))
         if kind == "var":
             vkind, idx = _var_index(val, pos)
             if self.kind is None:
@@ -466,37 +460,17 @@ class _Parser:
             if self.nvars is not None and idx >= self.nvars:
                 raise ParseError(
                     f"variable {val!r} exceeds the declared count {self.nvars}", pos)
-            self.max_index = max(self.max_index, idx)
-            return {((idx, 1),): Fraction(1)}
+            return self.ring.gens[idx]
         if kind == "op" and val == "(":
-            terms = self.expr()
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nest deeper than {MAX_NESTING} levels", pos)
+            self.depth += 1
+            poly = self.expr()
             self.expect_op(")")
-            return terms
+            self.depth -= 1
+            return poly
         raise ParseError(f"unexpected token {val!r}", pos)
-
-
-def _mul_terms(a, b):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            merged = {}
-            for i, k in e1:
-                merged[i] = merged.get(i, 0) + k
-            for i, k in e2:
-                merged[i] = merged.get(i, 0) + k
-            key = tuple(sorted(merged.items()))
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return out
-
-
-def _pow_terms(base, k):
-    result = {(): Fraction(1)}
-    while k:
-        if k & 1:
-            result = _mul_terms(result, base)
-        base = _mul_terms(base, base)
-        k >>= 1
-    return result
 
 
 def parse(text: str, nvars: Optional[int] = None,
@@ -506,23 +480,17 @@ def parse(text: str, nvars: Optional[int] = None,
     Variables are ``x1..xN`` (facet variables) or ``y1..yD`` (parameters,
     with ``u``/``v`` accepted as aliases for ``y1``/``y2``); literals are
     integers or ``p/q`` rationals; operators are ``+ - * ^`` with
-    parentheses.  When ``nvars`` is omitted the variable count is inferred
-    from the largest index used (at least 1).
+    parentheses nested at most ``MAX_NESTING`` deep.  When ``nvars`` is
+    omitted the variable count is inferred from the largest index used
+    (at least 1).
     """
     parser = _Parser(text, nvars, kind)
-    sparse = parser.parse()
-    width = nvars if nvars is not None else max(parser.max_index + 1, 1)
-    terms: dict[Exponents, Fraction] = {}
-    for e, c in sparse.items():
-        full = [0] * width
-        for i, k in e:
-            full[i] = k
-        key = tuple(full)
-        terms[key] = terms.get(key, Fraction(0)) + c
-    return MultiPoly(width, terms)
+    poly = parser.parse()
+    _ring(parser.width)  # refuses a width below 1
+    return _wrap(parser.width, poly)
 
 
-def _coeff_str(c: Fraction) -> str:
+def _coeff_str(c) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
@@ -538,7 +506,7 @@ def render(p: MultiPoly, kind: str = "x") -> str:
         return "0"
     names = variable_names(p.nvars, kind)
     pieces = []
-    for e, c in p.terms():
+    for e, c in p._p.terms():
         vars_part = "*".join(
             f"{names[i]}^{k}" if k > 1 else names[i]
             for i, k in enumerate(e) if k > 0)

@@ -242,3 +242,56 @@ class TestNonIntegerGeometry:
         code, _, err = self._run(tmp_path, capsys, data, "resolve")
         assert code == 2
         assert "1.5" in err
+
+
+class TestNonIntegerSystems:
+    def test_fractional_monomial_point_exit_2(self, paths, capsys):
+        code, out, err = run(capsys, "compose", paths["square"], "--system",
+                             '{"monomials": [[0.7, 0], [1, 0], [0, 1], [1, 1]]}',
+                             "--tuple", "(u, 1, 1, u + 1)")
+        assert code == 2 and out == ""
+        assert "0.7" in err
+
+    def test_boolean_component_point_exit_2(self, paths, capsys):
+        system = json.dumps({"components": [[{"m": [1, True], "a": "1"}],
+                                            [{"m": [0, 0], "a": "1"}]]})
+        code, out, err = run(capsys, "compose", paths["square"], "--system",
+                             system, "--tuple", "(u, 1, 1, u + 1)")
+        assert code == 2 and out == ""
+        assert "True" in err
+
+    def test_fractional_subset_point_exit_2(self, paths, capsys):
+        code, out, err = run(capsys, "decompose", paths["square"], "--system",
+                             '{"points": [[0.9, 0], [1, 0], [0, 1], [1, 1]]}',
+                             "--target", "(u, u, 1, 1)")
+        assert code == 2 and out == ""
+        assert "0.9" in err
+
+
+class TestRobustExits:
+    def test_deep_nesting_exit_2(self, capsys):
+        target = "(" + "(" * 3000 + "u" + ")" * 3000 + ", 1)"
+        code, out, err = run(capsys, "verify", "--target", target,
+                             "--relation", "x1 - x1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "nest" in err
+
+    def test_unexpected_exception_exit_4(self, paths, capsys, monkeypatch):
+        import toriparam.cli as cli
+
+        def broken(_):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(cli, "normal_fan", broken)
+        code, out, err = run(capsys, "fan", paths["square"])
+        assert code == 4 and out == ""
+        assert err.splitlines() == [
+            "error: internal error (ZeroDivisionError: division by zero)"]
+
+    def test_broken_invariant_exit_4(self, paths, capsys, monkeypatch):
+        import toriparam.parametrization as parametrization
+        monkeypatch.setattr(parametrization, "try_divide", lambda p, d: None)
+        code, out, err = run(capsys, "compose", paths["square"], "--system",
+                             "delta", "--tuple", "(u, 1, 1, u + 1)")
+        assert code == 4 and out == ""
+        assert err.startswith("error: internal error (InternalError:")

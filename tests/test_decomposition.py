@@ -5,7 +5,8 @@ import pytest
 
 from toriparam.decomposition import (decompose_univariate,
                                      decompose_with_hints)
-from toriparam.errors import (IncompleteHints, MultiParameterUnsupported,
+from toriparam.errors import (IncompleteHints, InternalError,
+                              MultiParameterUnsupported,
                               NoPreimage, NotMonomialSystem)
 from toriparam.linalg import IntMat, saturated_kernel_basis
 from toriparam.parametrization import (ParamTuple, compose_system,
@@ -335,3 +336,14 @@ class TestAdversarial:
         target[1] = target[1].scale(3)
         with pytest.raises(NoPreimage):
             decompose_univariate(target, system, fan)
+
+
+class TestInvariantsRaise:
+    def test_inexact_content_division(self, square, monkeypatch):
+        import toriparam.decomposition as decomposition
+        system = full_monomial_system(square)
+        target = compose_system(
+            system, ParamTuple.from_text("(u, 1, 1, u + 1)")).raw_components()
+        monkeypatch.setattr(decomposition, "try_divide", lambda p, d: None)
+        with pytest.raises(InternalError):
+            decompose_univariate(target, system, normal_fan(square))

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from toriparam.errors import LengthMismatch, PointOutsidePolytope
+from toriparam.errors import (InternalError, LengthMismatch, NonIntegerInput,
+                              PointOutsidePolytope)
 from toriparam.polynomials import MultiPoly, gcd_many, parse, parse_tuple, render
 from toriparam.polytope import frame_of, lattice_points, normal_fan
-from toriparam.parametrization import (ParamTuple, check_implicit,
+from toriparam.parametrization import (LatticePolynomial, ParamSystem,
+                                       ParamTuple, check_implicit,
                                        compose_system, full_monomial_system,
                                        is_primitive_coprime,
                                        is_rational_parametrization,
@@ -287,3 +289,46 @@ class TestKernelElementInvariance:
         scaled = ParamTuple(1, rescale(element, f.entries))
         assert compose_system(system, scaled).raw_components() == \
             compose_system(system, f).raw_components()
+
+
+class TestStrictLatticePoints:
+    """Lattice points in systems must be ints; nothing is truncated."""
+
+    @pytest.mark.parametrize("point", [[0.7, 0], [1, True], ["1", 0],
+                                       [1.0, 0]])
+    def test_component_point_rejected(self, square, point):
+        frame = frame_of(square)
+        data = {"components": [[{"m": point, "a": "1"}],
+                               [{"m": [1, 1], "a": "2"}]]}
+        with pytest.raises(NonIntegerInput):
+            ParamSystem.from_json(data, frame)
+
+    @pytest.mark.parametrize("point", [[0.9, 0], [False, 1]])
+    def test_monomial_point_rejected(self, square, point):
+        frame = frame_of(square)
+        with pytest.raises(NonIntegerInput):
+            ParamSystem.from_json({"monomials": [point, [1, 1]]}, frame)
+        with pytest.raises(NonIntegerInput):
+            LatticePolynomial(frame, ((tuple(point), Fraction(1)),))
+
+    def test_subset_point_rejected(self, square):
+        with pytest.raises(NonIntegerInput):
+            subset_monomial_system(square, [[0.9, 0], [1, 0], [0, 1],
+                                            [1, 1]])
+
+    def test_int_points_still_load(self, square):
+        frame = frame_of(square)
+        system = ParamSystem.from_json(
+            {"monomials": [[0, 0], [1, 0], [0, 1], [1, 1]]}, frame)
+        assert system.monomial_points() == ((0, 0), (1, 0), (0, 1), (1, 1))
+        assert ParamSystem.from_json(system.to_json(), frame) == system
+
+
+class TestInvariantsRaise:
+    def test_inexact_content_division(self, square, monkeypatch):
+        import toriparam.parametrization as parametrization
+        monkeypatch.setattr(parametrization, "try_divide", lambda p, d: None)
+        system = full_monomial_system(square)
+        f = ParamTuple.from_text("(u, 1, 1, u + 1)")
+        with pytest.raises(InternalError):
+            compose_system(system, f)
