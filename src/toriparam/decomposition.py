@@ -1,14 +1,16 @@
 """Recover a polynomial tuple from a composed parametrization.
 
-Given a target tuple H and a monomial system, each component of H is (up
-to content and a scalar) a monomial in the unknown tuple entries, so the
-multiplicity of every irreducible factor of H solves an integer linear
-system through the system's exponent matrix, and the scalars solve the
-multiplicative analogue prime by prime.  The kernel of the exponent matrix
-is exactly the exponent lattice of the composition-invariant subgroup, so
-candidate solutions are enumerated over a bounded kernel region and the
-first candidate passing exact verification wins; exhaustion means the
-target does not factor through the system over the rationals.
+Up to content and a scalar, each component of a target H is a monomial in
+the unknown tuple entries, so the multiplicities mu of every irreducible
+factor of H solve E.x = mu for the factor's orders x >= 0, E being the
+system's exponent matrix; the scalars solve the multiplicative analogue
+prime by prime.  Orders of a primitive-coprime tuple are supported on one
+cone (a ray set outside every cone holds a primitive collection), so they
+are searched cone by cone in the box [0, max mu].  The bound is proved for
+every ray with a positive column entry (x_rho * E_j,rho <= mu_j) and assumed
+for rays zero on every nonzero row.  The first order combination passing
+exact verification wins; exhaustion means the target does not factor
+through the system over the rationals.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import sympy
 from .errors import (IncompleteHints, InternalError, LengthMismatch,
                      MultiParameterUnsupported, NoPreimage,
                      NotMonomialSystem, NotUnivariate)
-from .linalg import IntMat, determinant, solve_integer_linear
+from .linalg import IntMat, solve_integer_linear
 from .polynomials import (Factorization, MultiPoly, factor_univariate,
                           gcd_many, normalized, try_divide)
 from .parametrization import (ParamSystem, ParamTuple, compose_system,
@@ -32,6 +34,7 @@ from .polytope import Fan
 from .subtorus import offset_character, scaling_group, solve_character
 
 _CANDIDATE_CAP = 2000
+_WALK_NODE_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -171,7 +174,7 @@ def _decompose(h_raw: Sequence[MultiPoly], p_sys: ParamSystem, fan: Fan,
     for fac in irreducibles:
         mults = [_multiplicity(factorizations[j], fac)
                  for j, _ in nonzero_rows]
-        candidates = _nonnegative_solutions(exp_matrix, mults)
+        candidates = _cone_solutions(exp_matrix, mults, fan, active)
         if not candidates:
             raise NoPreimage(
                 "no nonnegative integer orders match the factor "
@@ -208,86 +211,69 @@ def _multiplicity(fac: Factorization, poly: MultiPoly) -> int:
     return 0
 
 
-def _nonnegative_solutions(exp_matrix: IntMat, rhs: Sequence[int]
-                           ) -> list[tuple[int, ...]]:
-    """All nonnegative integer solutions with entries at most max(rhs).
+def _cone_solutions(exp_matrix: IntMat, rhs: Sequence[int], fan: Fan,
+                    active: Sequence[int]) -> list[tuple[int, ...]]:
+    """Sorted solutions x >= 0 of exp_matrix.x = rhs, entries at most
+    max(rhs) > 0, whose support (columns are the active rays) lies in a cone.
 
-    Entry orders of a genuine preimage never exceed the largest factor
-    multiplicity on the right-hand side, so the solution set is the integer
-    lattice of a box section of the solution plane.  Kernel coefficients
-    are bounded exactly through an invertible submatrix of the kernel
-    basis, which keeps the search sound even when the particular solution
-    lies far from the box.
+    A ray positive in a row with right-hand side 0 has order 0, as the
+    matrix and the orders are nonnegative.  Each maximal cone's other rays
+    are solved and walked on their own; the node cap spans all cones.
     """
-    solved = solve_integer_linear(exp_matrix, list(rhs))
-    if solved is None:
-        return []
-    particular, kernel = solved
-    bound = max(rhs) if rhs else 0
-    ranges = _coefficient_ranges(particular, kernel, bound)
-    if ranges is None:
-        raise ValueError("order-matching search region is too large for "
-                         "this system/target combination")
+    bound = max(rhs)
+    dead = {pos for j, mu in enumerate(rhs) if mu == 0
+            for pos, e in enumerate(exp_matrix.row(j)) if e > 0}
+    position = {ray: pos for pos, ray in enumerate(active) if pos not in dead}
+    cones = {frozenset(position[i] for i in cone.ray_indices
+                       if i in position) for cone in fan.max_cones}
+    nodes = 0
+    out = set()
+    # a support inside another one has its solutions found there too
+    for support in (sorted(c) for c in cones
+                    if c and not any(c < o for o in cones)):
+        sub = IntMat.from_rows([[exp_matrix.at(j, pos) for pos in support]
+                                for j in range(exp_matrix.rows)])
+        solved = solve_integer_linear(sub, rhs)
+        if solved is not None:
+            found, nodes = _box_walk(*solved, bound, nodes)
+            for x in found:
+                lift = dict(zip(support, x))
+                out.add(tuple(lift.get(pos, 0)
+                              for pos in range(exp_matrix.cols)))
+    return sorted(out)
+
+
+def _box_walk(particular: Sequence[int], kernel: IntMat, bound: int,
+              nodes: int) -> tuple[list[tuple[int, ...]], int]:
+    """Every x = particular + kernel.t in [0, bound]^n, and the node count.
+
+    The kernel is in column Hermite form: column j is zero above its pivot
+    row p_j, and the pivots increase and are positive.  So row p_j bounds
+    t_j exactly once t_0..t_{j-1} are chosen, and choosing t_j fixes the
+    rows before p_{j+1}, which prune the walk.
+    """
+    cols = [kernel.col(j) for j in range(kernel.cols)]
+    pivots = [next(i for i, v in enumerate(c) if v) for c in cols]
+    fixed = list(zip([0] + [p + 1 for p in pivots], pivots + [len(particular)]))
     out = []
-    for coeffs in itertools.product(*ranges):
-        cand = list(particular)
-        for c, k in zip(coeffs, range(kernel.cols)):
-            if c:
-                col = kernel.col(k)
-                cand = [x + c * y for x, y in zip(cand, col)]
-        if all(0 <= x <= bound for x in cand):
-            out.append(tuple(cand))
-    out.sort()
-    return out
 
+    def walk(j, x):
+        nonlocal nodes
+        nodes += 1
+        if nodes > _WALK_NODE_CAP:
+            raise ValueError("order-matching search region is too large for "
+                             "this system/target combination")
+        if not all(0 <= v <= bound for v in x[slice(*fixed[j])]):
+            return
+        if j == len(cols):
+            out.append(tuple(x))
+            return
+        p, col = pivots[j], cols[j]
+        for t in range(-(x[p] // col[p]), (bound - x[p]) // col[p] + 1):
+            walk(j + 1, [a + t * b for a, b in zip(x, col)])
 
-def _coefficient_ranges(particular: Sequence[int], kernel: IntMat,
-                        bound: int) -> Optional[list[range]]:
-    """Per-coordinate coefficient ranges covering every solution in the box
-    0 <= particular + kernel.t <= bound."""
-    k = kernel.cols
-    if k == 0:
-        return []
-    rows = None
-    for combo in itertools.combinations(range(kernel.rows), k):
-        sub = IntMat.from_rows([[kernel.at(i, j) for j in range(k)]
-                                for i in combo])
-        det = determinant(sub)
-        if det != 0:
-            rows = combo
-            break
-    if rows is None:
-        raise InternalError("kernel basis without full column rank")
-    adj = _adjugate(sub)
-    ranges = []
-    total_size = 1
-    for i in range(k):
-        reach = 0
-        for pos, row in enumerate(rows):
-            lo = -particular[row]
-            hi = bound - particular[row]
-            a = adj[i][pos]
-            reach += max(abs(a * lo), abs(a * hi))
-        radius = reach // abs(det) + 1
-        ranges.append(range(-radius, radius + 1))
-        total_size *= 2 * radius + 1
-        if total_size > 200_000:
-            return None
-    return ranges
-
-
-def _adjugate(m: IntMat) -> list[list[int]]:
-    n = m.rows
-    if n == 1:
-        return [[1]]
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = IntMat.from_rows(
-                [[m.at(r, c) for c in range(n) if c != j]
-                 for r in range(n) if r != i])
-            out[j][i] = (-1) ** (i + j) * determinant(minor)
-    return out
+    walk(0, list(particular))
+    return out, nodes
 
 
 def _fit_scalars(exp_matrix: IntMat, units: Sequence[Fraction]
@@ -364,8 +350,9 @@ def _verify(h_raw: Sequence[MultiPoly], content: MultiPoly, scalar: Fraction,
     if not coprime:
         return None
     comp = compose_system(p_sys, tup)
+    scaled_content = content.scale(scalar)
     for target, raw in zip(h_raw, comp.raw_components()):
-        if raw.scale(scalar) * content != target:
+        if raw * scaled_content != target:
             return None
     scalar_out = scalar
     absorbed = scalar == 1
@@ -376,13 +363,12 @@ def _verify(h_raw: Sequence[MultiPoly], content: MultiPoly, scalar: Fraction,
         if not chi.is_trivial():
             point = solve_character(group, chi, scalar)
         if point is not None:
+            # nonzero constant factors change no gcd, so tup stays coprime
             tup = ParamTuple(nparams,
                              tuple(e.scale(c) for e, c
                                    in zip(tup.entries, point.ambient)))
-            coprime, _ = is_primitive_coprime(tup, fan)
-            if coprime:
-                scalar_out = Fraction(1)
-                absorbed = True
+            scalar_out = Fraction(1)
+            absorbed = True
     if scalar == 1:
         tail = "no scalar to absorb"
     elif absorbed:

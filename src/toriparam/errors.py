@@ -18,8 +18,8 @@ class NotFullDimensional(ToriparamError):
 
 
 class NonIntegerInput(ToriparamError, ValueError):
-    """A coordinate, offset or dimension that must be an int was not one
-    (floats, strings and bools included)."""
+    """A coordinate, offset, dimension or system coefficient of the wrong
+    type (floats and bools included; coefficients may be "p/q" strings)."""
 
 
 class UnsupportedDimension(ToriparamError):

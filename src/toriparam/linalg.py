@@ -224,7 +224,7 @@ def solve_integer_linear(a: IntMat, b: Sequence[int]
     """
     if len(b) != a.rows:
         raise DimensionMismatch(f"rhs length {len(b)} != rows {a.rows}")
-    h, u = hermite_normal_form(a)
+    h, u = hr = hermite_normal_form(a)
     y = [0] * a.cols
     # Pivot columns in staircase order: solve by forward substitution.
     col = 0
@@ -240,7 +240,8 @@ def solve_integer_linear(a: IntMat, b: Sequence[int]
             if sum(h.at(i, j) * y[j] for j in range(min(col, a.cols))) != b[i]:
                 return None
     x = u.mul_vec(y)
-    return x, saturated_kernel_basis(a)
+    kernel = IntMat.from_cols(_kernel_columns(hr), a.cols)
+    return x, column_lattice_canonical(kernel)
 
 
 def determinant(m: IntMat) -> int:

@@ -9,11 +9,13 @@ variety.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InternalError, LengthMismatch, VariableCountMismatch
+from .errors import (InternalError, LengthMismatch, NonIntegerInput,
+                     VariableCountMismatch)
 from .linalg import IntMat, hermite_normal_form, rank
 from .polynomials import MultiPoly, gcd_many, try_divide
 from .polytope import (Frame, IntVec, LatticePolytope, _int_vec, frame_of,
@@ -23,6 +25,16 @@ from .polytope import (Frame, IntVec, LatticePolytope, _int_vec, frame_of,
 
 def _as_frame(p: LatticePolytope | Frame) -> Frame:
     return p if isinstance(p, Frame) else frame_of(p)
+
+
+def _coefficient(a) -> Fraction:
+    """An int, a Fraction, or an integer or "p/q" string, as a Fraction;
+    floats, bools, other types and zero denominators are refused."""
+    if (isinstance(a, Fraction) or type(a) is int or isinstance(a, str)
+            and re.fullmatch(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?", a)):
+        return Fraction(a)
+    raise NonIntegerInput(
+        f"expected an integer or a \"p/q\" coefficient, got {a!r}")
 
 
 @dataclass(frozen=True)
@@ -41,7 +53,7 @@ class LatticePolynomial:
             if m in seen:
                 raise ValueError(f"duplicate lattice point {m}")
             seen.add(m)
-            a = Fraction(a)
+            a = _coefficient(a)
             if a != 0:
                 self.frame.monomial_exponents(m)  # validates membership
                 clean.append((m, a))
@@ -132,8 +144,7 @@ class ParamSystem:
             return cls(frame, comps)
         comps = []
         for entry in data["components"]:
-            coeffs = tuple((_int_vec(t["m"]), Fraction(t["a"]))
-                           for t in entry)
+            coeffs = tuple((_int_vec(t["m"]), t["a"]) for t in entry)
             comps.append(LatticePolynomial(frame, coeffs))
         return cls(frame, tuple(comps))
 
@@ -258,18 +269,19 @@ def tuple_power(f: ParamTuple | Sequence[MultiPoly], m: Sequence[int],
 class Composition:
     """Result of substituting a tuple into a system.
 
-    ``content`` is the gcd of the raw components (normalized); the reduced
-    parametrization satisfies raw = content * reduced exactly.  For
-    primitive-coprime tuples over an embedding system the content is 1.
+    ``raw`` holds the substituted components and ``content`` their gcd
+    (normalized); the reduced parametrization satisfies raw = content *
+    reduced exactly.  For primitive-coprime tuples over an embedding system
+    the content is 1.
     """
 
     content: MultiPoly
     parametrization: RationalParametrization
     tuple_coprime: bool
+    raw: tuple[MultiPoly, ...] = field(compare=False, repr=False)
 
     def raw_components(self) -> tuple[MultiPoly, ...]:
-        return tuple(self.content * h
-                     for h in self.parametrization.components)
+        return self.raw
 
 
 def compose_system(p_sys: ParamSystem, f: ParamTuple) -> Composition:
@@ -305,7 +317,7 @@ def compose_system(p_sys: ParamSystem, f: ParamTuple) -> Composition:
     coprime, _ = is_primitive_coprime(f, frame.fan)
     return Composition(content,
                        RationalParametrization(f.nparams, tuple(reduced)),
-                       coprime)
+                       coprime, tuple(raw))
 
 
 def is_rational_parametrization(h: Sequence[MultiPoly]) -> bool:

@@ -268,6 +268,27 @@ class TestNonIntegerSystems:
         assert "0.9" in err
 
 
+class TestStrictCoefficients:
+    @pytest.mark.parametrize("a", ["0.1", "true", '"1/0"', '"1.5"', "null"])
+    def test_non_rational_coefficient_exit_2(self, paths, capsys, a):
+        system = ('{"components": [[{"m": [0, 0], "a": %s}], '
+                  '[{"m": [1, 1], "a": 1}]]}' % a)
+        code, out, err = run(capsys, "compose", paths["square"], "--system",
+                             system, "--tuple", "(u, 1, 1, 1)")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "coefficient" in err
+
+    @pytest.mark.parametrize("a, shown", [("3", "3"), ('"-1/2"', "-1/2"),
+                                          ('"4"', "4")])
+    def test_rational_coefficient_accepted(self, paths, capsys, a, shown):
+        system = ('{"components": [[{"m": [0, 0], "a": %s}], '
+                  '[{"m": [1, 1], "a": 1}]]}' % a)
+        code, out, _ = run(capsys, "compose", paths["square"], "--system",
+                           system, "--tuple", "(u, 1, 1, 1)", "--json")
+        assert code == 0
+        assert json.loads(out)["components"][0] == shown
+
+
 class TestRobustExits:
     def test_deep_nesting_exit_2(self, capsys):
         target = "(" + "(" * 3000 + "u" + ")" * 3000 + ", 1)"

@@ -324,6 +324,35 @@ class TestStrictLatticePoints:
         assert ParamSystem.from_json(system.to_json(), frame) == system
 
 
+class TestStrictCoefficients:
+    """System coefficients are ints, Fractions or "p"/"p/q" strings."""
+
+    @pytest.mark.parametrize("a, value", [
+        (3, Fraction(3)), (Fraction(-2, 3), Fraction(-2, 3)),
+        ("7", Fraction(7)), ("-4/6", Fraction(-2, 3)), ("+1/2", Fraction(1, 2)),
+        ("0", None)])
+    def test_accepted(self, square, a, value):
+        frame = frame_of(square)
+        data = {"components": [[{"m": [0, 0], "a": a}],
+                               [{"m": [1, 1], "a": "1"}]]}
+        system = ParamSystem.from_json(data, frame)
+        first = system.components[0].coefficients
+        assert first == ((((0, 0), value),) if value is not None else ())
+        assert ParamSystem.from_json(system.to_json(), frame) == system
+
+    @pytest.mark.parametrize("a", [0.1, 1.0, True, False, None, [1], "1/0",
+                                   "3/00", "1.5", "1e3", " 1", "1/2/3", "",
+                                   "0x10", "1_000", "\u0663"])
+    def test_refused(self, square, a):
+        frame = frame_of(square)
+        data = {"components": [[{"m": [0, 0], "a": a}],
+                               [{"m": [1, 1], "a": "1"}]]}
+        with pytest.raises(NonIntegerInput):
+            ParamSystem.from_json(data, frame)
+        with pytest.raises(NonIntegerInput):
+            LatticePolynomial(frame, (((0, 0), a),))
+
+
 class TestInvariantsRaise:
     def test_inexact_content_division(self, square, monkeypatch):
         import toriparam.parametrization as parametrization
