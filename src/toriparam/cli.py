@@ -3,7 +3,12 @@
 Stateless single-shot subcommands over polytope JSON files; every command
 offers ``--json`` machine output, and the human output is rendered from the
 same data.  Exit codes: 0 for success or a true verdict, 1 for a false or
-failed verdict, 2 for malformed input, 4 for an internal error (a bug).
+failed verdict, 2 for malformed input, 3 when a valid request exceeds a
+search budget (``BudgetExceeded``), 4 for an internal error (a bug).
+
+The parser is built on the first ``main`` call and reused by later calls
+in the same process.  sympy is imported with the first polynomial, so
+``fan``, ``points``, ``monomials``, ``resolve`` and ``group`` never load it.
 """
 
 from __future__ import annotations
@@ -14,13 +19,14 @@ import os
 import sys
 
 from .decomposition import decompose_univariate, decompose_with_hints
-from .errors import NoPreimage, ToriparamError
+from .errors import BudgetExceeded, NoPreimage, ToriparamError
 from .parametrization import (ParamSystem, ParamTuple, check_implicit,
                               compose_system, full_monomial_system,
                               is_primitive_coprime,
                               is_rational_parametrization,
                               subset_monomial_system)
-from .polynomials import MultiPoly, parse, parse_tuple, render
+from .polynomials import (MultiPoly, parse, parse_tuple, rational_str,
+                          render, render_monomial)
 from .polytope import (LatticePolytope, Frame, frame_of, is_smooth,
                        lattice_points, normal_fan)
 from .resolution import minimal_resolution, resolved_frame, virtual_facets
@@ -147,8 +153,7 @@ def _cmd_monomials(args) -> int:
                                   for m, e in rows]})
         return 0
     for m, e in rows:
-        mono = MultiPoly.monomial(frame.ray_count, e)
-        print(f"  {list(m)}: {render(mono)}")
+        print(f"  {list(m)}: {render_monomial(e)}")
     return 0
 
 
@@ -235,14 +240,14 @@ def _cmd_decompose(args) -> int:
     if args.json:
         _emit_json({"decomposed": True,
                     "content": render(result.content, "y"),
-                    "scalar": str(result.scalar),
+                    "scalar": rational_str(result.scalar),
                     "tuple": [render(e, "y") for e in result.f.entries],
                     "scalar_absorbed": result.absorbed,
                     "normalization": result.normalization})
         return 0
     print(_verdict("decomposed", True, sys.stdout))
     print(f"content: {render(result.content, 'y')}")
-    print(f"scalar: {result.scalar}")
+    print(f"scalar: {rational_str(result.scalar)}")
     tup = ", ".join(render(e, "y") for e in result.f.entries)
     print(f"tuple: ({tup})")
     print(f"note: {result.normalization}")
@@ -355,10 +360,19 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
+    except BudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (ToriparamError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

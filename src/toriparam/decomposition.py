@@ -20,10 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-import sympy
-
-from .errors import (IncompleteHints, InternalError, LengthMismatch,
-                     MultiParameterUnsupported, NoPreimage,
+from .errors import (BudgetExceeded, IncompleteHints, InternalError,
+                     LengthMismatch, MultiParameterUnsupported, NoPreimage,
                      NotMonomialSystem, NotUnivariate)
 from .linalg import IntMat, solve_integer_linear
 from .polynomials import (Factorization, MultiPoly, factor_univariate,
@@ -187,8 +185,8 @@ def _decompose(h_raw: Sequence[MultiPoly], p_sys: ParamSystem, fan: Fan,
         tried += 1
         if tried > _CANDIDATE_CAP:
             # refusing to answer beats a false negative
-            raise ValueError("too many order assignments to verify for "
-                             "this system/target combination")
+            raise BudgetExceeded("too many order assignments to verify "
+                                 "for this system/target combination")
         entries: list[MultiPoly] = []
         for pos, i in enumerate(active):
             ent = MultiPoly.one(nparams)
@@ -261,8 +259,8 @@ def _box_walk(particular: Sequence[int], kernel: IntMat, bound: int,
         nonlocal nodes
         nodes += 1
         if nodes > _WALK_NODE_CAP:
-            raise ValueError("order-matching search region is too large for "
-                             "this system/target combination")
+            raise BudgetExceeded("order-matching search region is too "
+                                 "large for this system/target combination")
         if not all(0 <= v <= bound for v in x[slice(*fixed[j])]):
             return
         if j == len(cols):
@@ -287,6 +285,8 @@ def _fit_scalars(exp_matrix: IntMat, units: Sequence[Fraction]
     ncols = exp_matrix.cols
     aug_rows = [[1] + list(exp_matrix.row(j)) for j in range(nrows)]
     aug = IntMat.from_rows(aug_rows)
+
+    import sympy
 
     primes = set()
     for u in units:

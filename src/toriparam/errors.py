@@ -94,6 +94,10 @@ class IncompleteHints(ToriparamError):
     pass
 
 
+class BudgetExceeded(ToriparamError):
+    """A valid request needs more work than a fixed search cap allows."""
+
+
 class InternalError(RuntimeError):
     """An invariant of the package's own algorithms failed: a bug, not bad
     input.  Deliberately not a ToriparamError, so that callers who catch

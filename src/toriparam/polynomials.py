@@ -7,21 +7,21 @@ exact division, gcd and univariate factorization all run in that ring.
 This module adds immutability, the text grammar and the normalization
 conventions (gcd has content 1 and positive leading coefficient, factors
 are monic, gcd(0, ..., 0) = 0); coefficients leave it as ``Fraction``.
+sympy is imported with the first ring, so a process that builds no
+polynomial never loads it.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
-
-from sympy.polys.domains import QQ, ZZ
-from sympy.polys.orderings import grlex
-from sympy.polys.polyerrors import ExactQuotientFailed
-from sympy.polys.rings import PolyElement, PolyRing
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .errors import (NotUnivariate, ParseError, VariableCountMismatch,
                      ZeroPolynomial)
+
+if TYPE_CHECKING:
+    from sympy.polys.rings import PolyElement, PolyRing
 
 Exponents = tuple[int, ...]
 
@@ -43,6 +43,13 @@ def _ring(nvars: int) -> PolyRing:
         if nvars > MAX_VARIABLES:
             raise VariableCountMismatch(
                 f"{nvars} variables exceed the supported {MAX_VARIABLES}")
+        # sympy loads with the first ring; every other use of these names
+        # runs on a polynomial, so after some ring exists.
+        global QQ, ZZ, ExactQuotientFailed
+        from sympy.polys.domains import QQ, ZZ
+        from sympy.polys.orderings import grlex
+        from sympy.polys.polyerrors import ExactQuotientFailed
+        from sympy.polys.rings import PolyRing
         ring = _RINGS[nvars] = PolyRing(f"v_0:{nvars}", QQ, grlex)
     return ring
 
@@ -490,14 +497,49 @@ def parse(text: str, nvars: Optional[int] = None,
     return _wrap(parser.width, poly)
 
 
-def _coeff_str(c) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+# Below 640 digits str(int) is exempt from Python's digit limit, whatever
+# sys.set_int_max_str_digits says; 10**600 stays clear of it.
+_STR_SAFE = 10 ** 600
+
+
+def int_str(n: int) -> str:
+    """str(n) with no limit on the digit count.
+
+    Splits n by divmod on a power of 10 near half its digits until the
+    pieces are short enough for str(), so Python's limit on int-to-str
+    conversion (4300 digits by default) never applies.
+    """
+    if -_STR_SAFE < n < _STR_SAFE:
+        return str(n)
+    if n < 0:
+        return "-" + int_str(-n)
+    k = n.bit_length() * 3 // 20  # about half the decimal digits
+    hi, lo = divmod(n, 10 ** k)
+    return int_str(hi) + int_str(lo).zfill(k)
+
+
+def rational_str(c) -> str:
+    """``p`` or ``p/q`` for a rational c, with no limit on the digits."""
+    num = int_str(c.numerator)
+    return num if c.denominator == 1 else f"{num}/{int_str(c.denominator)}"
 
 
 def variable_names(nvars: int, kind: str) -> list[str]:
     if kind == "y" and nvars <= 2:
         return ["u", "v"][:nvars]
     return [f"{kind}{i + 1}" for i in range(nvars)]
+
+
+def _power_product(names: Sequence[str], e: Sequence[int]) -> str:
+    return "*".join(f"{names[i]}^{k}" if k > 1 else names[i]
+                    for i, k in enumerate(e) if k > 0)
+
+
+def render_monomial(exponents: Sequence[int], kind: str = "x") -> str:
+    """``render(MultiPoly.monomial(len(exponents), exponents), kind)``,
+    without building a polynomial (and so without loading sympy)."""
+    names = variable_names(len(exponents), kind)
+    return _power_product(names, exponents) or "1"
 
 
 def render(p: MultiPoly, kind: str = "x") -> str:
@@ -507,16 +549,14 @@ def render(p: MultiPoly, kind: str = "x") -> str:
     names = variable_names(p.nvars, kind)
     pieces = []
     for e, c in p._p.terms():
-        vars_part = "*".join(
-            f"{names[i]}^{k}" if k > 1 else names[i]
-            for i, k in enumerate(e) if k > 0)
+        vars_part = _power_product(names, e)
         mag = abs(c)
         if not vars_part:
-            body = _coeff_str(mag)
+            body = rational_str(mag)
         elif mag == 1:
             body = vars_part
         else:
-            body = f"{_coeff_str(mag)}*{vars_part}"
+            body = f"{rational_str(mag)}*{vars_part}"
         pieces.append(("-" if c < 0 else "+", body))
     first_sign, first_body = pieces[0]
     out = ("-" if first_sign == "-" else "") + first_body

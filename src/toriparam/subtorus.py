@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from sympy import integer_nthroot
-
 from .errors import (DimensionMismatch, LengthMismatch, NonConstantRatio,
                      NonConstantScalar, NotEquivalent, ZeroScalar)
 from .linalg import (IntMat, column_lattice_canonical, hermite_normal_form,
@@ -178,6 +176,8 @@ def character_kernel(g: SubtorusDescription, chi: Character
 
 def _rational_root(c: Fraction, n: int) -> Optional[Fraction]:
     """Exact n-th root of a nonzero rational, or None."""
+    from sympy import integer_nthroot
+
     if n == 1:
         return c
     negative = c < 0
