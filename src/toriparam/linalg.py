@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch, ZeroVector
@@ -79,18 +80,15 @@ class IntMat:
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        rows = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            rows.append([sum(ri[k] * other.at(k, j) for k in range(self.cols))
-                         for j in range(other.cols)])
-        return IntMat(self.rows, other.cols, tuple(x for r in rows for x in r))
+        cols = [other.entries[j::other.cols] for j in range(other.cols)]
+        return IntMat(self.rows, other.cols,
+                      tuple(sum(map(mul, self.row(i), c))
+                            for i in range(self.rows) for c in cols))
 
     def mul_vec(self, v: Sequence[int]) -> IntVec:
         if len(v) != self.cols:
             raise DimensionMismatch(f"vector length {len(v)} != cols {self.cols}")
-        return tuple(sum(self.at(i, k) * v[k] for k in range(self.cols))
-                     for i in range(self.rows))
+        return tuple(sum(map(mul, self.row(i), v)) for i in range(self.rows))
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
@@ -131,6 +129,65 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
+def _columns(m: IntMat) -> list[list[int]]:
+    return [list(m.entries[j::m.cols]) for j in range(m.cols)]
+
+
+def _from_columns(cols: Sequence[Sequence[int]], nrows: int) -> IntMat:
+    return IntMat(nrows, len(cols), tuple(x for row in zip(*cols) for x in row))
+
+
+def _column_hnf(h: list[list[int]], nrows: int,
+                u: Optional[list[list[int]]] = None) -> int:
+    """Bring the columns ``h`` of an nrows-row matrix into the staircase
+    form of ``hermite_normal_form``, in place, and return its pivot count pc.
+
+    Every column operation is applied to the columns of ``u`` as well when
+    it is given.  The first pc columns carry the pivots; the columns from
+    pc on are zero.
+    """
+    ncols = len(h)
+    sides = (h,) if u is None else (h, u)
+    pc = 0
+    for i in range(nrows):
+        if pc >= ncols:
+            break
+        # Clear row i to a single nonzero entry at column pc.
+        for j in range(pc + 1, ncols):
+            b = h[j][i]
+            if b == 0:
+                continue
+            a = h[pc][i]
+            g, x, y = _egcd(a, b)
+            # det of [[x, -b//g], [y, a//g]] is (x*a + y*b)/g = 1
+            r, s = -(b // g), a // g
+            for side in sides:
+                ca, cb = side[pc], side[j]
+                side[pc] = [x * p + y * q for p, q in zip(ca, cb)]
+                side[j] = [r * p + s * q for p, q in zip(ca, cb)]
+        piv = h[pc][i]
+        if piv == 0:
+            continue
+        if piv < 0:
+            piv = -piv
+            for side in sides:
+                side[pc] = [-p for p in side[pc]]
+        for j in range(pc):
+            q = h[j][i] // piv
+            if q:
+                for side in sides:
+                    cp = side[pc]
+                    side[j] = [p - q * t for p, t in zip(side[j], cp)]
+        pc += 1
+    return pc
+
+
+def _identity_columns(n: int) -> list[list[int]]:
+    if n == 0:
+        raise DimensionMismatch("a transform needs at least one column")
+    return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+
+
 def hermite_normal_form(m: IntMat) -> HermiteResult:
     """Column-style Hermite normal form.
 
@@ -139,55 +196,10 @@ def hermite_normal_form(m: IntMat) -> HermiteResult:
     into [0, pivot).  The result is deterministic and, as a basis of the
     column lattice of m (zero columns dropped), canonical.
     """
-    h = m.to_rows()
-    ncols = m.cols
-    u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def col_combine(a: int, b: int, coeffs: tuple[int, int, int, int]):
-        p, q, r, s = coeffs  # new_a = p*ca + q*cb, new_b = r*ca + s*cb
-        for rowset in (h, u):
-            for row in rowset:
-                ca, cb = row[a], row[b]
-                row[a] = p * ca + q * cb
-                row[b] = r * ca + s * cb
-
-    pc = 0
-    for i in range(m.rows):
-        if pc >= ncols:
-            break
-        # Clear row i to a single nonzero entry at column pc.
-        for j in range(pc + 1, ncols):
-            if h[i][j] == 0:
-                continue
-            a, b = h[i][pc], h[i][j]
-            g, x, y = _egcd(a, b)
-            # det of [[x, -b//g], [y, a//g]] is (x*a + y*b)/g = 1
-            col_combine(pc, j, (x, y, -(b // g), a // g))
-        if h[i][pc] == 0:
-            continue
-        if h[i][pc] < 0:
-            for rowset in (h, u):
-                for row in rowset:
-                    row[pc] = -row[pc]
-        piv = h[i][pc]
-        for j in range(pc):
-            q = h[i][j] // piv
-            if q:
-                for rowset in (h, u):
-                    for row in rowset:
-                        row[j] -= q * row[pc]
-        pc += 1
-
-    return HermiteResult(IntMat.from_rows(h), IntMat.from_rows(u))
-
-
-def _kernel_columns(hr: HermiteResult) -> list[IntVec]:
-    h, u = hr
-    cols = []
-    for j in range(h.cols):
-        if all(h.at(i, j) == 0 for i in range(h.rows)):
-            cols.append(u.col(j))
-    return cols
+    h = _columns(m)
+    u = _identity_columns(m.cols)
+    _column_hnf(h, m.rows, u)
+    return HermiteResult(_from_columns(h, m.rows), _from_columns(u, m.cols))
 
 
 def column_lattice_canonical(m: IntMat) -> IntMat:
@@ -198,10 +210,15 @@ def column_lattice_canonical(m: IntMat) -> IntMat:
     """
     if m.cols == 0:
         return m
-    h = hermite_normal_form(m).h
-    keep = [j for j in range(h.cols)
-            if any(h.at(i, j) != 0 for i in range(h.rows))]
-    return IntMat.from_cols([h.col(j) for j in keep], m.rows)
+    h = _columns(m)
+    pc = _column_hnf(h, m.rows)
+    return _from_columns(h[:pc], m.rows)
+
+
+def _canonical_kernel(u: list[list[int]], pc: int, n: int) -> IntMat:
+    """Canonical form of the kernel basis left in u's columns from pc on."""
+    kernel = u[pc:]
+    return _from_columns(kernel[:_column_hnf(kernel, n)], n)
 
 
 def saturated_kernel_basis(m: IntMat) -> IntMat:
@@ -211,9 +228,9 @@ def saturated_kernel_basis(m: IntMat) -> IntMat:
     of the unimodular transform sitting over zero HNF columns form a basis of
     all of it.  The basis is returned in canonical (column HNF) form.
     """
-    kernel_cols = _kernel_columns(hermite_normal_form(m))
-    raw = IntMat.from_cols(kernel_cols, m.cols)
-    return column_lattice_canonical(raw) if raw.cols else raw
+    u = _identity_columns(m.cols)
+    pc = _column_hnf(_columns(m), m.rows, u)
+    return _canonical_kernel(u, pc, m.cols)
 
 
 def solve_integer_linear(a: IntMat, b: Sequence[int]
@@ -224,24 +241,25 @@ def solve_integer_linear(a: IntMat, b: Sequence[int]
     """
     if len(b) != a.rows:
         raise DimensionMismatch(f"rhs length {len(b)} != rows {a.rows}")
-    h, u = hr = hermite_normal_form(a)
-    y = [0] * a.cols
+    h = _columns(a)
+    u = _identity_columns(a.cols)
+    pc = _column_hnf(h, a.rows, u)
+    y = [0] * pc
     # Pivot columns in staircase order: solve by forward substitution.
     col = 0
     for i in range(a.rows):
-        if col < a.cols and h.at(i, col) != 0:
-            residual = b[i] - sum(h.at(i, j) * y[j] for j in range(col))
-            piv = h.at(i, col)
+        done = sum(h[j][i] * y[j] for j in range(col))
+        if col < pc and h[col][i] != 0:
+            residual = b[i] - done
+            piv = h[col][i]
             if residual % piv != 0:
                 return None
             y[col] = residual // piv
             col += 1
-        else:
-            if sum(h.at(i, j) * y[j] for j in range(min(col, a.cols))) != b[i]:
-                return None
-    x = u.mul_vec(y)
-    kernel = IntMat.from_cols(_kernel_columns(hr), a.cols)
-    return x, column_lattice_canonical(kernel)
+        elif done != b[i]:
+            return None
+    x = tuple(sum(map(mul, row, y)) for row in zip(*u))    # u[:, :pc] . y
+    return x, _canonical_kernel(u, pc, a.cols)
 
 
 def determinant(m: IntMat) -> int:
@@ -269,6 +287,23 @@ def determinant(m: IntMat) -> int:
 
 
 def rank(m: IntMat) -> int:
-    h = hermite_normal_form(m).h
-    return sum(1 for j in range(h.cols)
-               if any(h.at(i, j) != 0 for i in range(h.rows)))
+    """Rank by fraction-free row elimination, as in ``determinant``."""
+    a = m.to_rows()
+    r = 0
+    prev = 1
+    for c in range(m.cols):
+        piv = next((i for i in range(r, m.rows) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        top = a[r]
+        p = top[c]
+        for i in range(r + 1, m.rows):
+            row = a[i]
+            f = row[c]
+            a[i] = [(x * p - f * t) // prev for x, t in zip(row, top)]
+        prev = p
+        r += 1
+        if r == m.rows:
+            break
+    return r

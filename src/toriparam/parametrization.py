@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import (InternalError, LengthMismatch, NonIntegerInput,
                      VariableCountMismatch)
-from .linalg import IntMat, hermite_normal_form, rank
+from .linalg import IntMat, column_lattice_canonical, rank
 from .polynomials import MultiPoly, gcd_many, try_divide
 from .polytope import (Frame, IntVec, LatticePolytope, _int_vec, frame_of,
                        lattice_points, primitive_collections,
@@ -219,7 +219,7 @@ def subset_monomial_system(p: LatticePolytope | Frame,
     if diffs:
         mat = IntMat.from_cols(diffs, frame.polytope.dim)
         if rank(mat) == frame.polytope.dim:
-            h = hermite_normal_form(mat).h
+            h = column_lattice_canonical(mat)
             piv = 1
             for i in range(h.rows):
                 piv *= h.at(i, i) if i < h.cols else 0

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (NonIntegerInput, NotFullDimensional, NotInSupport,
                      PointOutsidePolytope, UnsupportedDimension, ZeroVector)
-from .linalg import IntMat, determinant, primitive_vector, rank
+from .linalg import (IntMat, determinant, primitive_vector, rank,
+                     saturated_kernel_basis)
 
 IntVec = tuple[int, ...]
 
@@ -25,7 +28,7 @@ class Facet(NamedTuple):
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _strict_int(x) -> int:
@@ -36,7 +39,13 @@ def _strict_int(x) -> int:
     raise NonIntegerInput(f"expected an integer, got {x!r}")
 
 
+_INT_ONLY = {int}
+
+
 def _int_vec(v: Iterable) -> IntVec:
+    v = tuple(v)
+    if set(map(type, v)) <= _INT_ONLY:     # the common case, checked in C
+        return v
     return tuple(_strict_int(x) for x in v)
 
 
@@ -44,10 +53,10 @@ def _affine_rank(points: Sequence[IntVec]) -> int:
     if not points:
         return -1
     base = points[0]
-    diffs = [tuple(p[i] - base[i] for i in range(len(base))) for p in points[1:]]
+    diffs = [tuple(map(sub, p, base)) for p in points[1:]]
     if not diffs:
         return 0
-    return rank(IntMat.from_rows(diffs).transpose())
+    return rank(IntMat.from_rows(diffs))
 
 
 def _hull_2d(points: list[IntVec]) -> list[IntVec]:
@@ -179,9 +188,9 @@ class LatticePolytope:
     """Full-dimensional lattice polytope with an explicit facet presentation.
 
     The facet order fixes the labeling of facet variables; construction via
-    ``from_vertices`` sorts facets lexicographically by normal, while direct
-    construction keeps the caller's labeling (validated against the hull for
-    dimensions up to 3).
+    ``polytope_from_vertices`` sorts facets lexicographically by normal,
+    while direct construction keeps the caller's labeling (validated against
+    the hull for dimensions up to 3).
     """
 
     dim: int
@@ -219,6 +228,17 @@ class LatticePolytope:
             if set(self.facets) != expected:
                 raise ValueError("facet list does not cut out the convex hull "
                                  "of the vertices")
+
+    @classmethod
+    def _trusted(cls, dim: int, vertices: tuple[IntVec, ...],
+                 facets: tuple[Facet, ...]) -> "LatticePolytope":
+        """Build without ``__post_init__``: for vertices and facets that a
+        hull computation has just produced, which are right by construction."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "dim", dim)
+        object.__setattr__(p, "vertices", vertices)
+        object.__setattr__(p, "facets", facets)
+        return p
 
     def offsets(self) -> IntVec:
         return tuple(f.offset for f in self.facets)
@@ -278,18 +298,34 @@ def polytope_from_vertices(n: int, points: Sequence[Sequence[int]]
         active = [f.normal for f in facets if _dot(p, f.normal) + f.offset == 0]
         if active and rank(IntMat.from_rows(active)) == n:
             vertices.append(p)
-    return LatticePolytope(n, tuple(vertices), tuple(facets))
+    return LatticePolytope._trusted(n, tuple(vertices), tuple(facets))
 
 
 def lattice_points(p: LatticePolytope) -> tuple[IntVec, ...]:
-    """All integer points of the polytope, in lexicographic order."""
+    """All integer points of the polytope, in lexicographic order.
+
+    The leading coordinates run over the vertices' bounding box.  For each
+    such prefix the facets give the last coordinate's exact interval by
+    floor and ceiling division; a facet whose last entry is zero keeps or
+    drops the whole prefix.  Cost: prefixes x facets, plus the output.
+    """
     lows = [min(v[i] for v in p.vertices) for i in range(p.dim)]
     highs = [max(v[i] for v in p.vertices) for i in range(p.dim)]
-    out = []
-    for m in itertools.product(*(range(lo, hi + 1)
-                                 for lo, hi in zip(lows, highs))):
-        if p.contains(m):
-            out.append(m)
+    split = [(f.normal[:-1], f.normal[-1], f.offset) for f in p.facets]
+    out: list[IntVec] = []
+    for prefix in itertools.product(*(range(lo, hi + 1) for lo, hi
+                                      in zip(lows[:-1], highs[:-1]))):
+        lo, hi = lows[-1], highs[-1]
+        for head, c, a in split:
+            s = _dot(prefix, head) + a        # need c * x + s >= 0
+            if c > 0:
+                lo = max(lo, -(s // c))
+            elif c < 0:
+                hi = min(hi, s // -c)
+            elif s < 0:
+                break
+        else:
+            out.extend(prefix + (x,) for x in range(lo, hi + 1))
     return tuple(out)
 
 
@@ -303,7 +339,7 @@ class Cone:
     ray_indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = tuple(sorted(set(int(i) for i in self.ray_indices)))
+        idx = tuple(sorted(set(_int_vec(self.ray_indices))))
         if len(idx) != len(self.ray_indices):
             raise ValueError("duplicate ray indices in a cone")
         object.__setattr__(self, "ray_indices", idx)
@@ -319,7 +355,7 @@ class Fan:
 
     def __post_init__(self):
         object.__setattr__(self, "rays",
-                           tuple(tuple(int(x) for x in r) for r in self.rays))
+                           tuple(_int_vec(r) for r in self.rays))
         object.__setattr__(self, "max_cones", tuple(self.max_cones))
         if len(set(self.rays)) != len(self.rays):
             raise ValueError("duplicate rays")
@@ -342,6 +378,21 @@ class Fan:
 
     def ray_matrix(self) -> IntMat:
         return IntMat.from_cols(list(self.rays), self.dim)
+
+    @cached_property
+    def _ray_kernel(self) -> IntMat:
+        """Saturated kernel of the ray matrix, in canonical form: the
+        exponents of the scaling group, built once per fan."""
+        return saturated_kernel_basis(self.ray_matrix())
+
+    @cached_property
+    def _cone_walls(self) -> tuple[tuple[IntVec, ...], ...]:
+        """Per maximal cone, the inward wall normals that
+        ``smallest_containing_cone`` tests a vector against."""
+        return tuple(
+            tuple(_cone_facet_normals(self.dim,
+                                      [self.rays[i] for i in c.ray_indices]))
+            for c in self.max_cones)
 
     def to_json(self) -> dict:
         return {
@@ -425,7 +476,7 @@ class PrimitiveCollection:
 
     def __post_init__(self):
         object.__setattr__(self, "ray_indices",
-                           tuple(sorted(int(i) for i in self.ray_indices)))
+                           tuple(sorted(_int_vec(self.ray_indices))))
 
 
 # -- cone geometry ----------------------------------------------------------------
@@ -460,14 +511,12 @@ def _cone_facet_normals(dim: int, gens: list[IntVec]) -> list[IntVec]:
 
 def smallest_containing_cone(f: Fan, v: Sequence[int]) -> Cone:
     """The unique smallest cone of the fan containing v (exact arithmetic)."""
-    v = tuple(int(x) for x in v)
+    v = _int_vec(v)
     if all(x == 0 for x in v):
         raise ZeroVector("the origin lies in every cone")
     if f.dim > 3:
         raise UnsupportedDimension("cone search supports dimensions 1-3")
-    for cone in f.max_cones:
-        gens = [f.rays[i] for i in cone.ray_indices]
-        walls = _cone_facet_normals(f.dim, gens)
+    for cone, walls in zip(f.max_cones, f._cone_walls):
         dots = [_dot(w, v) for w in walls]
         if any(d < 0 for d in dots):
             continue
@@ -506,7 +555,7 @@ class Frame:
     offsets: IntVec
 
     def __post_init__(self):
-        object.__setattr__(self, "offsets", tuple(int(a) for a in self.offsets))
+        object.__setattr__(self, "offsets", _int_vec(self.offsets))
         if len(self.offsets) != self.fan.ray_count:
             raise ValueError("one offset per ray required")
 
@@ -515,7 +564,7 @@ class Frame:
         return self.fan.ray_count
 
     def monomial_exponents(self, m: Sequence[int]) -> IntVec:
-        m = tuple(int(x) for x in m)
+        m = _int_vec(m)
         if len(m) != self.polytope.dim:
             raise PointOutsidePolytope(f"{m} has the wrong dimension")
         if not self.polytope.contains(m):

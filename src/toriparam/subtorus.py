@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (DimensionMismatch, LengthMismatch, NonConstantRatio,
@@ -108,8 +109,7 @@ def scaling_group(f: Fan) -> SubtorusDescription:
     generators as columns; the rays of a complete fan span the lattice, so
     the kernel is a saturated subtorus of dimension rays - dim.
     """
-    kernel = saturated_kernel_basis(f.ray_matrix())
-    return SubtorusDescription(f.ray_count, kernel, ())
+    return SubtorusDescription(f.ray_count, f._ray_kernel, ())
 
 
 def character_from_offsets(g: SubtorusDescription,
@@ -118,9 +118,8 @@ def character_from_offsets(g: SubtorusDescription,
     if len(offsets) != g.ambient_dim:
         raise DimensionMismatch("one offset per ambient coordinate required")
     e = g.exponent_matrix
-    return Character(tuple(
-        sum(offsets[i] * e.at(i, j) for i in range(e.rows))
-        for j in range(e.cols)))
+    return Character(tuple(sum(map(mul, offsets, e.col(j)))
+                           for j in range(e.cols)))
 
 
 def offset_character(p: LatticePolytope | Frame,

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,7 +10,7 @@ from toriparam.errors import (NonIntegerInput, NotFullDimensional,
                               PointOutsidePolytope, UnsupportedDimension,
                               ZeroVector)
 from toriparam.linalg import IntMat, primitive_vector, solve_integer_linear
-from toriparam.polytope import (Cone, Facet, Fan, LatticePolytope,
+from toriparam.polytope import (Cone, Facet, Fan, Frame, LatticePolytope,
                                 _facets_from_points, frame_of,
                                 is_smooth, lattice_points,
                                 monomial_exponents, normal_fan,
@@ -480,3 +481,64 @@ class TestStrictIntegers:
             polytope_from_vertices(2, [(0, 0), (1, 0), (0, 0.5)])
         with pytest.raises(NonIntegerInput):
             polytope_from_vertices(True, [(0,), (1,)])
+
+    def test_geometry_layer_rejects_non_int(self, square):
+        # each of these used to truncate or coerce silently
+        frame = frame_of(square)
+        for m in ((0.9, 0), (True, 0)):
+            with pytest.raises(NonIntegerInput):
+                frame.monomial_exponents(m)
+        with pytest.raises(NonIntegerInput):
+            smallest_containing_cone(frame.fan, (0.5, 1.2))
+        with pytest.raises(NonIntegerInput):
+            Fan(2, ((1.9, 0), (0, 1), (-1, -1)),
+                (Cone((0, 1)), Cone((1, 2)), Cone((0, 2))))
+        with pytest.raises(NonIntegerInput):
+            Frame(square, frame.fan, (0, 0.5, 0, 1))
+        with pytest.raises(NonIntegerInput):
+            Cone((0.7, 1))
+        # the integer forms still answer
+        assert frame.monomial_exponents((1, 0)) == (1, 0, 0, 1)
+        assert smallest_containing_cone(frame.fan, (1, 2)) == Cone((0, 2))
+
+
+def box_scan_points(p):
+    """Oracle: every point of the vertices' bounding box that the facets
+    keep, in lexicographic order."""
+    lows = [min(v[i] for v in p.vertices) for i in range(p.dim)]
+    highs = [max(v[i] for v in p.vertices) for i in range(p.dim)]
+    return tuple(m for m in itertools.product(
+        *(range(lo, hi + 1) for lo, hi in zip(lows, highs))) if p.contains(m))
+
+
+class TestLatticePointsAgainstBoxScan:
+    @ORACLE_SETTINGS
+    @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                    min_size=3, max_size=8))
+    def test_random_polygons(self, points):
+        p = _polytope_or_skip(2, points)
+        assert lattice_points(p) == box_scan_points(p)
+
+    @ORACLE_SETTINGS
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                              st.integers(-3, 3)), min_size=4, max_size=10))
+    def test_random_3d_polytopes(self, points):
+        p = _polytope_or_skip(3, points)
+        assert lattice_points(p) == box_scan_points(p)
+
+    def test_segment_and_caller_labelled_square(self, square):
+        segment = polytope_from_vertices(1, [(-2,), (5,)])
+        assert lattice_points(segment) == tuple((x,) for x in range(-2, 6))
+        assert lattice_points(square) == box_scan_points(square)
+
+    def test_thin_triangle(self):
+        # the box scan visited 2001 x 2002 points for these 1003 (12 s);
+        # by Pick, 1000.5 = I + 3/2 - 1 gives I = 1000 inner points
+        p = polytope_from_vertices(2, [(0, 0), (1, 0), (2000, 2001)])
+        start = time.perf_counter()
+        pts = lattice_points(p)
+        assert time.perf_counter() - start < 0.5
+        assert len(pts) == 1003 and list(pts) == sorted(pts)
+        assert all(p.contains(m) for m in pts)
+        small = polytope_from_vertices(2, [(0, 0), (1, 0), (60, 61)])
+        assert lattice_points(small) == box_scan_points(small)
