@@ -4,11 +4,15 @@ Up to content and a scalar, each component of a target H is a monomial in
 the unknown tuple entries, so the multiplicities mu of every irreducible
 factor of H solve E.x = mu for the factor's orders x >= 0, E being the
 system's exponent matrix; the scalars solve the multiplicative analogue
-prime by prime.  Orders of a primitive-coprime tuple are supported on one
-cone (a ray set outside every cone holds a primitive collection), so they
-are searched cone by cone in the box [0, max mu].  The bound is proved for
-every ray with a positive column entry (x_rho * E_j,rho <= mu_j) and assumed
-for rays zero on every nonzero row.  The first order combination passing
+prime by prime.  The vertex components of a composition hold every
+irreducible factor (see ``parametrization``), so they are factored first
+and the other univariate components are split by exact division over the
+factors found, with a factorization only where a cofactor is left.
+Orders of a primitive-coprime tuple are supported on one cone (a ray set
+outside every cone holds a primitive collection), so they are searched
+cone by cone in the box [0, max mu].  The bound is proved for every ray
+with a positive column entry (x_rho * E_j,rho <= mu_j) and assumed for
+rays zero on every nonzero row.  The first order combination passing
 exact verification wins; exhaustion means the target does not factor
 through the system over the rationals.
 """
@@ -24,8 +28,9 @@ from .errors import (BudgetExceeded, IncompleteHints, InternalError,
                      LengthMismatch, MultiParameterUnsupported, NoPreimage,
                      NotMonomialSystem, NotUnivariate)
 from .linalg import IntMat, solve_integer_linear
-from .polynomials import (Factorization, MultiPoly, factor_univariate,
-                          gcd_many, normalized, try_divide)
+from .polynomials import (Factorization, MultiPoly, factor_over,
+                          factor_univariate, gcd_many, normalized,
+                          try_divide)
 from .parametrization import (ParamSystem, ParamTuple, compose_system,
                               is_primitive_coprime)
 from .polytope import Fan
@@ -59,13 +64,22 @@ def decompose_univariate(h_raw: Sequence[MultiPoly], p_sys: ParamSystem,
         raise NotMonomialSystem(
             "this entry point requires single-monomial components")
 
+    found: list[MultiPoly] = []
+
     def factorizer(poly: MultiPoly) -> Factorization:
-        try:
-            return factor_univariate(poly)
-        except NotUnivariate as exc:
-            raise MultiParameterUnsupported(
-                "a component mixes parameters after content extraction; "
-                "supply factor hints") from exc
+        # _decompose passes vertex rows first, and they hold every
+        # irreducible factor of a composition, so a later row that splits
+        # over the factors found so far needs no factorization of its own.
+        fac = factor_over(poly, found)
+        if fac is None:
+            try:
+                fac = factor_univariate(poly)
+            except NotUnivariate as exc:
+                raise MultiParameterUnsupported(
+                    "a component mixes parameters after content "
+                    "extraction; supply factor hints") from exc
+            found.extend(q for q, _ in fac.factors if q not in found)
+        return fac
 
     return _decompose(h_raw, p_sys, fan, factorizer)
 
@@ -110,6 +124,8 @@ def decompose_with_hints(h_raw: Sequence[MultiPoly], p_sys: ParamSystem,
 def _decompose(h_raw: Sequence[MultiPoly], p_sys: ParamSystem, fan: Fan,
                factorizer: Callable[[MultiPoly], Factorization]
                ) -> DecompositionResult:
+    """The shared decomposition; ``factorizer`` gets the nonzero
+    single-monomial rows of the reduced target, vertex rows first."""
     h_raw = tuple(h_raw)
     if len(h_raw) != p_sys.size:
         raise LengthMismatch(
@@ -119,7 +135,8 @@ def _decompose(h_raw: Sequence[MultiPoly], p_sys: ParamSystem, fan: Fan,
     nparams = h_raw[0].nvars
     r = p_sys.frame.ray_count
 
-    content = gcd_many(list(h_raw))
+    order, _ = p_sys._vertex_order()
+    content = gcd_many([h_raw[j] for j in order])
     reduced = []
     for h in h_raw:
         q = try_divide(h, content)
@@ -148,7 +165,9 @@ def _decompose(h_raw: Sequence[MultiPoly], p_sys: ParamSystem, fan: Fan,
     active = [i for i in range(r) if i not in zero_entries]
 
     # Factor the surviving single-monomial components.
-    factorizations = {j: factorizer(reduced[j]) for j, _ in nonzero_rows}
+    nonzero = {j for j, _ in nonzero_rows}
+    factorizations = {j: factorizer(reduced[j]) for j in order
+                      if j in nonzero}
     irreducibles: list[MultiPoly] = []
     for j, _ in nonzero_rows:
         for fac, _mult in factorizations[j].factors:

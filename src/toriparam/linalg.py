@@ -9,11 +9,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from operator import mul
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import DimensionMismatch, ZeroVector
+from .errors import DimensionMismatch, NonIntegerInput, ZeroVector
 
 IntVec = tuple[int, ...]
+
+
+def _strict_int(x) -> int:
+    """x itself if it is an int; floats, strings and bools are refused
+    rather than truncated or coerced."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise NonIntegerInput(f"expected an integer, got {x!r}")
+
+
+_INT_ONLY = {int}
+
+
+def _int_vec(v: Iterable) -> IntVec:
+    v = tuple(v)
+    if set(map(type, v)) <= _INT_ONLY:     # the common case, checked in C
+        return v
+    return tuple(_strict_int(x) for x in v)
 
 
 @dataclass(frozen=True)
@@ -45,7 +63,7 @@ class IntMat:
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise DimensionMismatch("ragged rows")
-        return cls(nrows, ncols, tuple(int(x) for r in rows for x in r))
+        return cls(nrows, ncols, _int_vec(x for r in rows for x in r))
 
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence[int]], nrows: int) -> "IntMat":
@@ -53,7 +71,7 @@ class IntMat:
             if len(c) != nrows:
                 raise DimensionMismatch("column length mismatch")
         return cls(nrows, len(cols),
-                   tuple(int(cols[j][i]) for i in range(nrows) for j in range(len(cols))))
+                   _int_vec(x for row in zip(*cols) for x in row))
 
     @classmethod
     def identity(cls, n: int) -> "IntMat":

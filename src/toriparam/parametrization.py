@@ -5,6 +5,16 @@ coordinate frame.  Composing a system with a polynomial tuple substitutes
 the tuple into the facet variables; for primitive-coprime tuples the
 result has trivial content and is a rational parametrization of the image
 variety.
+
+That is the paper's theorem, and ``compose_system`` uses it instead of a
+gcd.  Take an irreducible p.  The rays whose entry p divides, or whose
+entry is 0, hold no primitive collection, so they lie in one maximal cone
+sigma.  At a vertex where every ray of sigma has exponent 0, the composed
+point monomial is a product of entries off sigma: nonzero and prime to p.
+So when the tuple is primitive-coprime and the system has a one-term
+component at such a vertex for every maximal cone, the content is 1.
+Otherwise the content is a gcd fold that starts with those vertex
+components, which carry every irreducible factor when the theorem holds.
 """
 
 from __future__ import annotations
@@ -120,6 +130,21 @@ class ParamSystem:
             pts.append(m)
         return tuple(pts)
 
+    def _vertex_order(self) -> tuple[list[int], bool]:
+        """Component indices with the one-term components at the frame's
+        cone vertices first, and whether every maximal cone's vertex has
+        such a component."""
+        vertices = self.frame._cone_vertices
+        first, rest, seen = [], [], set()
+        for j, c in enumerate(self.components):
+            m = c.coefficients[0][0] if len(c.coefficients) == 1 else None
+            if m is not None and m in vertices:
+                first.append(j)
+                seen.add(m)
+            else:
+                rest.append(j)
+        return first + rest, None not in vertices and seen >= set(vertices)
+
     def exponent_rows(self) -> list[tuple[int, IntVec]]:
         """(component index, exponent vector) for single-monomial components."""
         rows = []
@@ -187,6 +212,16 @@ class RationalParametrization:
                 raise VariableCountMismatch("component variable count mismatch")
         if not is_rational_parametrization(self.components):
             raise ValueError("components must be coprime and not all zero")
+
+    @classmethod
+    def _trusted(cls, nparams: int, components: tuple[MultiPoly, ...]
+                 ) -> "RationalParametrization":
+        """Build without ``__post_init__``: for components just divided by
+        their gcd, which are coprime and not all zero by construction."""
+        rp = object.__new__(cls)
+        object.__setattr__(rp, "nparams", nparams)
+        object.__setattr__(rp, "components", components)
+        return rp
 
 
 def full_monomial_system(p: LatticePolytope | Frame) -> ParamSystem:
@@ -271,8 +306,10 @@ class Composition:
 
     ``raw`` holds the substituted components and ``content`` their gcd
     (normalized); the reduced parametrization satisfies raw = content *
-    reduced exactly.  For primitive-coprime tuples over an embedding system
-    the content is 1.
+    reduced exactly.  For a primitive-coprime tuple over a system with a
+    one-term component at a vertex of every maximal cone the content is 1
+    by the paper's theorem (see the module docstring), and no gcd is
+    taken; otherwise the content is the gcd of ``raw``.
     """
 
     content: MultiPoly
@@ -285,17 +322,33 @@ class Composition:
 
 
 def compose_system(p_sys: ParamSystem, f: ParamTuple) -> Composition:
-    """Substitute f into every component and split off the content."""
+    """Substitute f into every component and split off the content.
+
+    Each power f_i^e is built once and each point monomial once.  The
+    content is 1 without a gcd when the theorem in the module docstring
+    applies; otherwise it is the gcd of the composed components, taken
+    vertex components first.
+    """
     frame = p_sys.frame
     if len(f) != frame.ray_count:
         raise LengthMismatch(
             f"tuple has {len(f)} entries, frame has {frame.ray_count} rays")
-    power_cache: dict[IntVec, MultiPoly] = {}
+    powers: list[dict[int, MultiPoly]] = [{} for _ in f.entries]
+    monomials: dict[IntVec, MultiPoly] = {}
+    one = MultiPoly.one(f.nparams)
 
     def power_of(m: IntVec) -> MultiPoly:
-        if m not in power_cache:
-            power_cache[m] = tuple_power(f, m, frame)
-        return power_cache[m]
+        out = monomials.get(m)
+        if out is None:
+            out = one
+            for q, table, e in zip(f.entries, powers,
+                                   frame.monomial_exponents(m)):
+                if e:
+                    if e not in table:
+                        table[e] = q ** e
+                    out = table[e] if out is one else out * table[e]
+            monomials[m] = out
+        return out
 
     raw = []
     for comp in p_sys.components:
@@ -303,10 +356,15 @@ def compose_system(p_sys: ParamSystem, f: ParamTuple) -> Composition:
         for m, a in comp.coefficients:
             total = total + power_of(m).scale(a)
         raw.append(total)
-    content = gcd_many(raw)
-    if content.is_zero():
-        raise ValueError("composition is identically zero; the tuple maps "
-                         "into the excluded coordinate locus")
+    coprime, _ = is_primitive_coprime(f, frame.fan)
+    order, vertices_covered = p_sys._vertex_order()
+    if coprime and vertices_covered:
+        content = one
+    else:
+        content = gcd_many([raw[j] for j in order])
+        if content.is_zero():
+            raise ValueError("composition is identically zero; the tuple "
+                             "maps into the excluded coordinate locus")
     reduced = []
     for h in raw:
         q = try_divide(h, content)
@@ -314,9 +372,9 @@ def compose_system(p_sys: ParamSystem, f: ParamTuple) -> Composition:
             raise InternalError("a component is not divisible by the gcd "
                                 "of all components")
         reduced.append(q)
-    coprime, _ = is_primitive_coprime(f, frame.fan)
     return Composition(content,
-                       RationalParametrization(f.nparams, tuple(reduced)),
+                       RationalParametrization._trusted(f.nparams,
+                                                        tuple(reduced)),
                        coprime, tuple(raw))
 
 

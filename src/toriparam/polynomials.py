@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .errors import (NotUnivariate, ParseError, VariableCountMismatch,
@@ -313,9 +314,76 @@ def factor_univariate(p: MultiPoly) -> Factorization:
         unit *= f.LC ** mult
         monic = ring.dtype({lift(k): c for (k,), c in f.monic().items()})
         factors.append((_wrap(p.nvars, monic), mult))
-    # by the ascending graded-lex term list, the reverse of the ring's order
-    factors.sort(key=lambda fk: fk[0]._p.terms()[::-1])
+    factors.sort(key=_factor_order)
     return Factorization(_fraction(unit), tuple(factors))
+
+
+def _factor_order(fk: tuple[MultiPoly, int]):
+    # by the ascending graded-lex term list, the reverse of the ring's order
+    return fk[0]._p.terms()[::-1]
+
+
+def _int_coefficients(p: MultiPoly, var: int) -> list[int]:
+    """p, a polynomial in variable ``var`` alone, as the coefficient list
+    (leading first) of its primitive integer multiple."""
+    terms = {e[var]: _fraction(c) for e, c in p._p.items()}
+    d = lcm(*(c.denominator for c in terms.values()))
+    f = [0] * (max(terms) + 1)
+    for k, c in terms.items():
+        f[-1 - k] = c.numerator * (d // c.denominator)
+    g = gcd(*f)
+    return [x // g for x in f]
+
+
+def _exact_quotient(f: list[int], g: list[int]) -> Optional[list[int]]:
+    """f / g for integer coefficient lists (leading first), or None when g
+    does not divide f; with g primitive, an integer quotient exists exactly
+    when a rational one does (Gauss's lemma)."""
+    m = len(g)
+    if len(f) < m:
+        return None
+    r = list(f)
+    q = []
+    for i in range(len(f) - m + 1):
+        c, rem = divmod(r[i], g[0])
+        if rem:
+            return None
+        q.append(c)
+        if c:
+            for j in range(1, m):
+                r[i + j] -= c * g[j]
+    return None if any(r[len(q):]) else q
+
+
+def factor_over(p: MultiPoly, irreducibles: Sequence[MultiPoly]
+                ) -> Optional[Factorization]:
+    """``factor_univariate(p)``, found by exact division alone, when p uses
+    at most one variable and is a constant times a product of the given
+    monic irreducibles (factors of ``factor_univariate``); None otherwise.
+
+    The divisions run on primitive integer coefficient lists, and the unit
+    is p's leading coefficient, as every factor is monic.
+    """
+    used = p.used_variables()
+    if len(used) > 1 or p.is_zero():
+        return None
+    if not used:
+        return Factorization(p.constant_value(), ())
+    rest = _int_coefficients(p, used[0])
+    found = []
+    for f in irreducibles:
+        if f.used_variables() != used:
+            continue
+        g = _int_coefficients(f, used[0])
+        mult = 0
+        while (q := _exact_quotient(rest, g)) is not None:
+            rest, mult = q, mult + 1
+        if mult:
+            found.append((f, mult))
+    if len(rest) > 1:
+        return None
+    found.sort(key=_factor_order)
+    return Factorization(p.leading_coefficient(), tuple(found))
 
 
 # -- text grammar --------------------------------------------------------------

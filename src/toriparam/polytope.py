@@ -12,12 +12,12 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul, sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import (NonIntegerInput, NotFullDimensional, NotInSupport,
-                     PointOutsidePolytope, UnsupportedDimension, ZeroVector)
-from .linalg import (IntMat, determinant, primitive_vector, rank,
-                     saturated_kernel_basis)
+from .errors import (NotFullDimensional, NotInSupport, PointOutsidePolytope,
+                     UnsupportedDimension, ZeroVector)
+from .linalg import (IntMat, _int_vec, _strict_int, determinant,
+                     primitive_vector, rank, saturated_kernel_basis)
 
 IntVec = tuple[int, ...]
 
@@ -29,24 +29,6 @@ class Facet(NamedTuple):
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(mul, a, b))
-
-
-def _strict_int(x) -> int:
-    """x itself if it is an int; floats, strings and bools are refused
-    rather than truncated or coerced."""
-    if isinstance(x, int) and not isinstance(x, bool):
-        return x
-    raise NonIntegerInput(f"expected an integer, got {x!r}")
-
-
-_INT_ONLY = {int}
-
-
-def _int_vec(v: Iterable) -> IntVec:
-    v = tuple(v)
-    if set(map(type, v)) <= _INT_ONLY:     # the common case, checked in C
-        return v
-    return tuple(_strict_int(x) for x in v)
 
 
 def _affine_rank(points: Sequence[IntVec]) -> int:
@@ -243,6 +225,14 @@ class LatticePolytope:
     def offsets(self) -> IntVec:
         return tuple(f.offset for f in self.facets)
 
+    @cached_property
+    def _normal_fan(self) -> "Fan":
+        """The inner normal fan, built once per polytope: ``normal_fan``,
+        ``frame_of`` and ``resolution.virtual_facets`` share it, and with
+        it the fan's cached kernel and cone walls."""
+        return Fan(self.dim, tuple(f.normal for f in self.facets),
+                   tuple(Cone(self.tight_facets(v)) for v in self.vertices))
+
     def contains(self, m: Sequence[int]) -> bool:
         return all(_dot(m, f.normal) + f.offset >= 0 for f in self.facets)
 
@@ -403,11 +393,10 @@ class Fan:
 
 
 def normal_fan(p: LatticePolytope) -> Fan:
-    """Inner normal fan: one ray per facet, one maximal cone per vertex."""
-    cones = []
-    for v in p.vertices:
-        cones.append(Cone(p.tight_facets(v)))
-    return Fan(p.dim, tuple(f.normal for f in p.facets), tuple(cones))
+    """Inner normal fan: one ray per facet, one maximal cone per vertex.
+
+    Built on the first call for a polytope; later calls return that fan."""
+    return p._normal_fan
 
 
 def is_smooth(f: Fan) -> tuple[bool, tuple[Cone, ...]]:
@@ -562,6 +551,25 @@ class Frame:
     @property
     def ray_count(self) -> int:
         return self.fan.ray_count
+
+    @cached_property
+    def _cone_vertices(self) -> tuple[Optional[IntVec], ...]:
+        """Per maximal cone, the first polytope vertex whose point monomial
+        has exponent 0 at every ray of the cone (and none negative), or
+        None when no vertex does.
+
+        At such a vertex the monomial is a product of the rays off the
+        cone only, so its composition with a primitive-coprime tuple is
+        prime to every irreducible factor whose rays lie in the cone.
+        """
+        exps = [tuple(_dot(v, ray) + a
+                      for ray, a in zip(self.fan.rays, self.offsets))
+                for v in self.polytope.vertices]
+        return tuple(
+            next((v for v, e in zip(self.polytope.vertices, exps)
+                  if min(e) >= 0 and not any(e[i] for i in c.ray_indices)),
+                 None)
+            for c in self.fan.max_cones)
 
     def monomial_exponents(self, m: Sequence[int]) -> IntVec:
         m = _int_vec(m)
