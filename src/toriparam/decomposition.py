@@ -27,10 +27,10 @@ from typing import Callable, Optional, Sequence
 from .errors import (BudgetExceeded, IncompleteHints, InternalError,
                      LengthMismatch, MultiParameterUnsupported, NoPreimage,
                      NotMonomialSystem, NotUnivariate)
-from .linalg import IntMat, solve_integer_linear
-from .polynomials import (Factorization, MultiPoly, factor_over,
-                          factor_univariate, gcd_many, normalized,
-                          try_divide)
+from .linalg import IntMat, _particular, _reduce, solve_integer_linear
+from .polynomials import (Factorization, MultiPoly, _certify_coprime,
+                          factor_over, factor_univariate, gcd_many,
+                          normalized, try_divide)
 from .parametrization import (ParamSystem, ParamTuple, compose_system,
                               is_primitive_coprime)
 from .polytope import Fan
@@ -136,7 +136,9 @@ def _decompose(h_raw: Sequence[MultiPoly], p_sys: ParamSystem, fan: Fan,
     r = p_sys.frame.ray_count
 
     order, _ = p_sys._vertex_order()
-    content = gcd_many([h_raw[j] for j in order])
+    ordered = [h_raw[j] for j in order]
+    content = (MultiPoly.one(nparams) if _certify_coprime(ordered)
+               else gcd_many(ordered))
     reduced = []
     for h in h_raw:
         q = try_divide(h, content)
@@ -298,12 +300,13 @@ def _fit_scalars(exp_matrix: IntMat, units: Sequence[Fraction]
     """Solve scalar * prod_i c_i^{E_ji} = unit_j multiplicatively over Q.
 
     Exponent vectors are solved prime by prime (and for the sign, modulo
-    2); the extra all-ones column carries the global scalar.
+    2); the extra all-ones column carries the global scalar.  Every prime
+    solves against one Hermite form of the augmented matrix.
     """
     nrows = exp_matrix.rows
     ncols = exp_matrix.cols
     aug_rows = [[1] + list(exp_matrix.row(j)) for j in range(nrows)]
-    aug = IntMat.from_rows(aug_rows)
+    reduced = _reduce(IntMat.from_rows(aug_rows))
 
     import sympy
 
@@ -317,10 +320,9 @@ def _fit_scalars(exp_matrix: IntMat, units: Sequence[Fraction]
     logs = [Fraction(1)] * ncols
     for p in sorted(primes):
         rhs = [_valuation(u, p) for u in units]
-        solved = solve_integer_linear(aug, rhs)
-        if solved is None:
+        vec = _particular(*reduced, rhs)
+        if vec is None:
             return None
-        vec = solved[0]
         log_c *= Fraction(p) ** vec[0]
         for i in range(ncols):
             logs[i] *= Fraction(p) ** vec[1 + i]
@@ -328,10 +330,9 @@ def _fit_scalars(exp_matrix: IntMat, units: Sequence[Fraction]
     sign_rows = [row + [2 if t == k else 0 for t in range(nrows)]
                  for k, row in enumerate(aug_rows)]
     sign_rhs = [0 if u > 0 else 1 for u in units]
-    solved = solve_integer_linear(IntMat.from_rows(sign_rows), sign_rhs)
-    if solved is None:
+    svec = _particular(*_reduce(IntMat.from_rows(sign_rows)), sign_rhs)
+    if svec is None:
         return None
-    svec = solved[0]
     if svec[0] % 2:
         log_c = -log_c
     for i in range(ncols):

@@ -251,21 +251,22 @@ def saturated_kernel_basis(m: IntMat) -> IntMat:
     return _canonical_kernel(u, pc, m.cols)
 
 
-def solve_integer_linear(a: IntMat, b: Sequence[int]
-                         ) -> Optional[tuple[IntVec, IntMat]]:
-    """Solve a.x = b over the integers.
-
-    Returns (particular solution, kernel basis) when solvable, None otherwise.
-    """
-    if len(b) != a.rows:
-        raise DimensionMismatch(f"rhs length {len(b)} != rows {a.rows}")
+def _reduce(a: IntMat) -> tuple[list[list[int]], list[list[int]], int]:
+    """The columns of a's column HNF h = a.u, those of the unimodular u,
+    and the pivot count: what ``_particular`` solves against."""
     h = _columns(a)
     u = _identity_columns(a.cols)
-    pc = _column_hnf(h, a.rows, u)
+    return h, u, _column_hnf(h, a.rows, u)
+
+
+def _particular(h: list[list[int]], u: list[list[int]], pc: int,
+                b: Sequence[int]) -> Optional[IntVec]:
+    """The particular solution of ``solve_integer_linear`` for the matrix
+    that ``_reduce`` gave (h, u, pc), or None when a.x = b has none."""
     y = [0] * pc
     # Pivot columns in staircase order: solve by forward substitution.
     col = 0
-    for i in range(a.rows):
+    for i in range(len(b)):
         done = sum(h[j][i] * y[j] for j in range(col))
         if col < pc and h[col][i] != 0:
             residual = b[i] - done
@@ -276,7 +277,21 @@ def solve_integer_linear(a: IntMat, b: Sequence[int]
             col += 1
         elif done != b[i]:
             return None
-    x = tuple(sum(map(mul, row, y)) for row in zip(*u))    # u[:, :pc] . y
+    return tuple(sum(map(mul, row, y)) for row in zip(*u))    # u[:, :pc] . y
+
+
+def solve_integer_linear(a: IntMat, b: Sequence[int]
+                         ) -> Optional[tuple[IntVec, IntMat]]:
+    """Solve a.x = b over the integers.
+
+    Returns (particular solution, kernel basis) when solvable, None otherwise.
+    """
+    if len(b) != a.rows:
+        raise DimensionMismatch(f"rhs length {len(b)} != rows {a.rows}")
+    h, u, pc = _reduce(a)
+    x = _particular(h, u, pc, b)
+    if x is None:
+        return None
     return x, _canonical_kernel(u, pc, a.cols)
 
 

@@ -15,6 +15,12 @@ So when the tuple is primitive-coprime and the system has a one-term
 component at such a vertex for every maximal cone, the content is 1.
 Otherwise the content is a gcd fold that starts with those vertex
 components, which carry every irreducible factor when the theorem holds.
+
+Questions that need only a yes or no, or a content that is 1, are first
+put to the modular certificate ``polynomials._certify_coprime``: the
+coprimality of each primitive collection, ``is_rational_parametrization``
+and the content fold above.  A True from it is a proof.  When it gives up,
+``gcd_many`` runs as it would without it; it is the exact fallback.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from typing import Optional, Sequence
 from .errors import (InternalError, LengthMismatch, NonIntegerInput,
                      VariableCountMismatch)
 from .linalg import IntMat, column_lattice_canonical, rank
-from .polynomials import MultiPoly, gcd_many, try_divide
+from .polynomials import MultiPoly, _certify_coprime, gcd_many, try_divide
 from .polytope import (Frame, IntVec, LatticePolytope, _int_vec, frame_of,
                        lattice_points, primitive_collections,
                        PrimitiveCollection, Fan)
@@ -270,7 +276,9 @@ def is_primitive_coprime(f: ParamTuple | Sequence[MultiPoly], fan: Fan
 
     Checking the minimal collections suffices: a gcd over a superset
     divides the gcd over any subset.  By the gcd(0,...,0) = 0 convention a
-    collection whose entries all vanish fails.
+    collection whose entries all vanish fails.  A collection is coprime
+    when the modular certificate proves it; only when that gives up is the
+    gcd computed.
     """
     entries = f.entries if isinstance(f, ParamTuple) else tuple(f)
     if len(entries) != fan.ray_count:
@@ -278,7 +286,10 @@ def is_primitive_coprime(f: ParamTuple | Sequence[MultiPoly], fan: Fan
             f"{len(entries)} entries for {fan.ray_count} rays")
     violated = []
     for coll in primitive_collections(fan):
-        g = gcd_many([entries[i] for i in coll.ray_indices])
+        polys = [entries[i] for i in coll.ray_indices]
+        if _certify_coprime(polys):
+            continue
+        g = gcd_many(polys)
         if not (g.is_constant() and not g.is_zero()):
             violated.append(coll)
     return (not violated, tuple(violated))
@@ -309,7 +320,8 @@ class Composition:
     reduced exactly.  For a primitive-coprime tuple over a system with a
     one-term component at a vertex of every maximal cone the content is 1
     by the paper's theorem (see the module docstring), and no gcd is
-    taken; otherwise the content is the gcd of ``raw``.
+    taken; otherwise the content is the gcd of ``raw``, which is 1 without
+    a gcd when the modular certificate proves ``raw`` coprime.
     """
 
     content: MultiPoly
@@ -326,8 +338,9 @@ def compose_system(p_sys: ParamSystem, f: ParamTuple) -> Composition:
 
     Each power f_i^e is built once and each point monomial once.  The
     content is 1 without a gcd when the theorem in the module docstring
-    applies; otherwise it is the gcd of the composed components, taken
-    vertex components first.
+    applies or the certificate proves the components coprime; otherwise
+    it is the gcd of the composed components, taken vertex components
+    first.
     """
     frame = p_sys.frame
     if len(f) != frame.ray_count:
@@ -358,10 +371,11 @@ def compose_system(p_sys: ParamSystem, f: ParamTuple) -> Composition:
         raw.append(total)
     coprime, _ = is_primitive_coprime(f, frame.fan)
     order, vertices_covered = p_sys._vertex_order()
-    if coprime and vertices_covered:
+    ordered = [raw[j] for j in order]
+    if (coprime and vertices_covered) or _certify_coprime(ordered):
         content = one
     else:
-        content = gcd_many([raw[j] for j in order])
+        content = gcd_many(ordered)
         if content.is_zero():
             raise ValueError("composition is identically zero; the tuple "
                              "maps into the excluded coordinate locus")
@@ -382,6 +396,8 @@ def is_rational_parametrization(h: Sequence[MultiPoly]) -> bool:
     """Components not all zero with trivial gcd."""
     if not h:
         return False
+    if _certify_coprime(h):
+        return True
     g = gcd_many(list(h))
     return g.is_constant() and not g.is_zero()
 

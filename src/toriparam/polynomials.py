@@ -9,6 +9,18 @@ conventions (gcd has content 1 and positive leading coefficient, factors
 are monic, gcd(0, ..., 0) = 0); coefficients leave it as ``Fraction``.
 sympy is imported with the first ring, so a process that builds no
 polynomial never loads it.
+
+Exact division is long division that stops at the first remainder term
+the divisor's leading term does not divide.  Coprimality has a one-sided
+test besides the gcd, ``_certify_coprime``: restrict every polynomial to
+the fixed line l(t) = a t + b and read it modulo the prime P = 2^61 - 1.
+If some f keeps its degree there (its top-degree form f_top has f_top(a)
+nonzero mod P) and the images have gcd 1 in GF(P)[t], the gcd over the
+rationals is a constant.  For let h be the primitive integer gcd: h o l
+mod P divides every image, and h_top(a) divides f_top(a), so h o l mod P
+has degree deg h, which a unit gcd forces to 0.  This is the modular
+argument of Brown's gcd algorithm (JACM 1971), used only to prove a gcd
+trivial; when it proves nothing, callers compute the gcd.
 """
 
 from __future__ import annotations
@@ -46,10 +58,9 @@ def _ring(nvars: int) -> PolyRing:
                 f"{nvars} variables exceed the supported {MAX_VARIABLES}")
         # sympy loads with the first ring; every other use of these names
         # runs on a polynomial, so after some ring exists.
-        global QQ, ZZ, ExactQuotientFailed
+        global QQ, ZZ
         from sympy.polys.domains import QQ, ZZ
         from sympy.polys.orderings import grlex
-        from sympy.polys.polyerrors import ExactQuotientFailed
         from sympy.polys.rings import PolyRing
         ring = _RINGS[nvars] = PolyRing(f"v_0:{nvars}", QQ, grlex)
     return ring
@@ -228,20 +239,30 @@ def normalized(p: MultiPoly) -> MultiPoly:
 
 
 def try_divide(p: MultiPoly, d: MultiPoly) -> Optional[MultiPoly]:
-    """Exact quotient p/d, or None when d does not divide p."""
+    """Exact quotient p/d, or None when d does not divide p.
+
+    Long division stops at the first remainder whose leading monomial
+    lm(d) does not divide: when d divides p, every remainder is
+    (q - partial quotient) * d, whose leading monomial lm(d) divides.
+    """
     p._check(d)
     if d.is_zero():
         return None
     if d.is_constant():
         return _wrap(p.nvars, p._p.quo_ground(d._p.LC))
-    # an exact quotient has leading monomial lm(p) / lm(d)
-    if p._p and any(a < b for a, b in zip(p._p.leading_expv(),
-                                          d._p.leading_expv())):
-        return None
-    try:
-        return _wrap(p.nvars, p._p.exquo(d._p))
-    except ExactQuotientFailed:
-        return None
+    f, g = p._p, d._p
+    term_div = f._term_div()
+    lead = g.leading_expv()
+    lead = (lead, g[lead])
+    q, r = f.ring.zero, f.copy()
+    while r:
+        e = r.leading_expv()
+        term = term_div((e, r[e]), lead)
+        if term is None:
+            return None
+        q = q._iadd_monom(term)
+        r = r._iadd_poly_monom(g, (term[0], -term[1]))
+    return _wrap(p.nvars, q)
 
 
 def gcd_multi(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -272,6 +293,115 @@ def gcd_many(polys: Sequence[MultiPoly]) -> MultiPoly:
         if g.is_constant() and not g.is_zero():
             break
     return g
+
+
+# The prime of _certify_coprime.
+_P = 2 ** 61 - 1
+
+
+def _mod_p(c) -> Optional[int]:
+    """A rational coefficient n/d as n * d^-1 mod P; None when P | d."""
+    n, d = c.numerator, c.denominator
+    if d == 1:
+        return n % _P
+    if not d % _P:
+        return None
+    return n * pow(d, -1, _P) % _P
+
+
+def _times_line(f: list[int], i: int, k: int) -> list[int]:
+    """f times (a_i t + b_i)^k mod P, coefficient lists low degree first.
+
+    On the line of _certify_coprime variable i is (1009 + 2i) t + 101 + 2i.
+    1009 is prime, so the line's rational points of small height lie at
+    integer t, away from the small points where entries tend to vanish.
+    """
+    a, b = 1009 + 2 * i, 101 + 2 * i
+    for _ in range(k if f else 0):
+        f = [(b * x + a * y) % _P for x, y in zip(f + [0], [0] + f)]
+    return f
+
+
+def _line_image(terms: list) -> list[int]:
+    """sum c * prod_i (a_i t + b_i)^e_i mod P over the terms (e, c), low
+    degree first: Horner's rule in one used variable after another, from
+    the last."""
+    used = sorted({i for e, _ in terms for i, x in enumerate(e) if x})
+    images = {e: [c] for e, c in terms}
+    for i in reversed(used):
+        groups: dict[tuple, list] = {}
+        for e, f in images.items():
+            groups.setdefault(e[:i], []).append((e[i], f))
+        images = {}
+        for key, members in groups.items():
+            members.sort(key=lambda m: m[0], reverse=True)
+            out, top = [], members[0][0]
+            for k, f in members:
+                out = _times_line(out, i, top - k)
+                top = k
+                out.extend([0] * (len(f) - len(out)))
+                for j, x in enumerate(f):
+                    out[j] = (out[j] + x) % _P
+            images[key] = _times_line(out, i, top)
+    (image,) = images.values()
+    return image
+
+
+def _gf_gcd(f: list[int], g: list[int]) -> list[int]:
+    """A gcd in GF(P)[t] of coefficient lists, low degree first and with
+    no trailing zeros (the zero polynomial is [])."""
+    while g:
+        dg = len(g) - 1
+        r = list(f)
+        inv = pow(g[-1], -1, _P)
+        for i in range(len(r) - 1, dg - 1, -1):
+            c = r[i] * inv % _P
+            if c:
+                k = i - dg
+                for j in range(dg):
+                    r[k + j] = (r[k + j] - c * g[j]) % _P
+        del r[dg:]
+        while r and not r[-1]:
+            r.pop()
+        f, g = g, r
+    return f
+
+
+def _certify_coprime(polys: Sequence[MultiPoly]) -> bool:
+    """True only when the gcd of polys is proved a nonzero constant.
+
+    The test and its proof are in the module docstring; in one variable
+    the line is the identity.  False means "not proved": the gcd may still
+    be 1.  A nonzero constant in polys is proof at once, and a coefficient
+    whose denominator P divides gives up.
+    """
+    if any(p._p and p._p.is_ground for p in polys):
+        return True
+    g: list[int] = []
+    kept_degree = False
+    for p in polys:
+        f = p._p
+        if not f:
+            continue
+        terms = []
+        for e, c in f.items():
+            c = _mod_p(c)
+            if c is None:
+                return False
+            terms.append((e, c))
+        if p.nvars == 1:
+            image = [0] * (f.degree() + 1)
+            for (k,), c in terms:
+                image[k] = c
+        else:
+            image = _line_image(terms)
+        while image and not image[-1]:
+            image.pop()
+        kept_degree = kept_degree or len(image) - 1 == max(map(sum, f))
+        g = _gf_gcd(image, g)
+        if kept_degree and len(g) == 1:
+            return True
+    return False
 
 
 class Factorization(NamedTuple):

@@ -384,6 +384,11 @@ class Fan:
                                       [self.rays[i] for i in c.ray_indices]))
             for c in self.max_cones)
 
+    @cached_property
+    def _primitive_collections(self) -> tuple["PrimitiveCollection", ...]:
+        """``primitive_collections(self)``, found once per fan."""
+        return _find_primitive_collections(self)
+
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
@@ -415,6 +420,14 @@ def is_smooth(f: Fan) -> tuple[bool, tuple[Cone, ...]]:
 def primitive_collections(f: Fan) -> tuple["PrimitiveCollection", ...]:
     """All minimal sets of rays not contained in a single cone, ordered by
     size and then by ray indices.
+
+    Found on the first call for a fan; later calls return those."""
+    return f._primitive_collections
+
+
+def _find_primitive_collections(f: Fan
+                                ) -> tuple["PrimitiveCollection", ...]:
+    """``primitive_collections(f)``, computed.
 
     These are the minimal non-faces, and each one is a face plus one ray
     (Batyrev 1991): dropping any ray i from a collection S leaves a set
