@@ -15,6 +15,17 @@ with a positive column entry (x_rho * E_j,rho <= mu_j) and assumed for
 rays zero on every nonzero row.  The first order combination passing
 exact verification wins; exhaustion means the target does not factor
 through the system over the rationals.
+
+Verification builds no polynomial.  By the paper's theorem a candidate's
+composition is, component by component, a sum of constants times products
+of tuple entries, so target = content * scalar * composition is one
+identity between integer polynomials per component, decided by packing
+both sides into one integer each (the lemma in ``polynomials``).  Factor
+hints are divided out the same way: packed integer divisions give the
+multiplicities, and a coefficient bound proves the factorization they
+imply.  Inputs whose packed integers would pass ``_PACKED_BITS`` take the
+ring path: the composition expanded in the ring, and hints divided out by
+``try_divide``.
 """
 
 from __future__ import annotations
@@ -28,10 +39,13 @@ from .errors import (BudgetExceeded, IncompleteHints, InternalError,
                      LengthMismatch, MultiParameterUnsupported, NoPreimage,
                      NotMonomialSystem, NotUnivariate)
 from .linalg import IntMat, _particular, _reduce, solve_integer_linear
-from .polynomials import (Factorization, MultiPoly, _certify_coprime,
-                          factor_over, factor_univariate, gcd_many,
-                          normalized, try_divide)
-from .parametrization import (ParamSystem, ParamTuple, compose_system,
+from .polynomials import (Factorization, MultiPoly, _Image,
+                          _certify_coprime, _cleared, _int_image,
+                          _packed_fits, _packed_value, _substitute,
+                          _substitution_bounds, factor_over,
+                          factor_univariate, gcd_many, normalized,
+                          try_divide)
+from .parametrization import (ParamSystem, ParamTuple, _raw_components,
                               is_primitive_coprime)
 from .polytope import Fan
 from .subtorus import offset_character, scaling_group, solve_character
@@ -99,8 +113,12 @@ def decompose_with_hints(h_raw: Sequence[MultiPoly], p_sys: ParamSystem,
         if hint.is_constant():
             raise IncompleteHints("constant hints are meaningless")
         hints.append(normalized(hint))
+    images = [_int_image(hint) for hint in hints]
 
     def factor_with_hints(poly: MultiPoly) -> Factorization:
+        fac = _packed_factorization(poly, hints, images)
+        if fac is not None:
+            return fac
         factors = []
         rest = poly
         for hint in hints:
@@ -119,6 +137,66 @@ def decompose_with_hints(h_raw: Sequence[MultiPoly], p_sys: ParamSystem,
         return Factorization(rest.constant_value(), tuple(factors))
 
     return _decompose(h_raw, p_sys, fan, factor_with_hints)
+
+
+def _packed_factorization(poly: MultiPoly, hints: Sequence[MultiPoly],
+                          images: Sequence[_Image]
+                          ) -> Optional[Factorization]:
+    """What dividing poly by each hint in turn, as often as it divides,
+    finds, found by dividing packed integers; None when the guard below
+    does not prove it.
+
+    The hints are primitive.  P = den * poly is an integer polynomial of
+    degree at most D in each variable, and B leaves room both for
+    2^(sum of P's degrees) |P|_1, a bound on |c| prod |h|_1^m when P = c
+    prod h^m (Mahler), and for every hint that may divide P.  The integer
+    P(K) is divided by each h(K) while the remainder is zero and P has the
+    degree for one more h; c is what is left.  When |c| prod |h|_1^m +
+    |P|_1 < 2^(B-2), the lemma in ``polynomials`` makes P = c prod h^m an
+    identity.  The division loop then finds the same multiplicities: it
+    divides h out at least m times, and once more only if h divides what
+    is left, c prod (later hints)^m, an integer polynomial, so that
+    (Gauss's lemma) h(K) divides its value, which the integer loop refuted.
+    An integer h(K) may divide where h does not: u + 1 divides v + 1 when
+    the packed v is an odd power of the packed u.  Then the guard fails,
+    and the variables are packed once more in reverse order.
+    """
+    n = poly.nvars
+    if any(hint.nvars != n for hint in hints):
+        return None
+    p = _int_image(poly)
+    D = max(p.degrees)
+    B = sum(p.degrees) + p.norm.bit_length() + 3
+    usable = []
+    for hint, im in zip(hints, images):
+        # a hint of higher degree than poly does not divide it; for the
+        # others |h(K)| >= 2, so the division loops end
+        if all(map(int.__le__, im.degrees, p.degrees)):
+            usable.append((hint, im))
+            B = max(B, (im.norm + 1).bit_length() + 1)
+    if not _packed_fits(B, D, n):
+        return None
+    for step in (1, -1)[:n]:
+        value = _packed_value([(e[::step], c) for e, c in p.terms], B, D)
+        found = []
+        norm = 1
+        room = list(p.degrees)
+        for hint, im in usable:
+            h = _packed_value([(e[::step], c) for e, c in im.terms], B, D)
+            cap = min(r // d for r, d in zip(room, im.degrees) if d)
+            mult = 0
+            while mult < cap:
+                q, r = divmod(value, h)
+                if r:
+                    break
+                value, mult = q, mult + 1
+            if mult:
+                found.append((hint, mult))
+                norm *= im.norm ** mult
+                room = [r - mult * d for r, d in zip(room, im.degrees)]
+        if abs(value) * norm + p.norm < 1 << (B - 2):
+            return Factorization(Fraction(value, p.den), tuple(found))
+    return None
 
 
 def _decompose(h_raw: Sequence[MultiPoly], p_sys: ParamSystem, fan: Fan,
@@ -362,6 +440,44 @@ def _expand_entries(entries: list[MultiPoly], active: list[int], r: int,
     return full
 
 
+def _packed_reproduces(h_raw: Sequence[MultiPoly], content: MultiPoly,
+                       scalar: Fraction, tup: ParamTuple, p_sys: ParamSystem
+                       ) -> Optional[bool]:
+    """Whether each target component is content * scalar * its raw
+    composition sum a prod_i f_i^(e_i), decided on packed integers; None
+    when they would pass the packed size cap.
+
+    With the integer images T = d_T target, C = d_C content and F_i of the
+    entries, R = W raw = sum k prod_i F_i^(e_i) is an integer polynomial,
+    and the identity reads T d_C W den(scalar) = C R num(scalar) d_T.  One B
+    and one D cover both sides of every component, so each entry is packed
+    once and each power of it is taken once.
+    """
+    n = tup.nparams
+    images = [_int_image(f) for f in tup.entries]
+    cont = _int_image(content)
+    rows = []
+    bound = D = 0
+    for target, comp in zip(h_raw, p_sys._integer_components):
+        t = _int_image(target)
+        w, terms = _cleared(*comp, images)
+        norm, degrees = _substitution_bounds(terms, images, n)
+        lhs = cont.den * w * scalar.denominator
+        rhs = scalar.numerator * t.den
+        bound = max(bound, t.norm * lhs + cont.norm * norm * abs(rhs))
+        D = max(D, *t.degrees, *map(int.__add__, cont.degrees, degrees))
+        rows.append((t.terms, lhs, terms, rhs))
+    B = bound.bit_length() + 1
+    if not _packed_fits(B, D, n):
+        return None
+    values = [_packed_value(im.terms, B, D) for im in images]
+    c_value = _packed_value(cont.terms, B, D)
+    powers: dict = {}
+    return all(_packed_value(t_terms, B, D) * lhs
+               == c_value * _substitute(terms, values, powers) * rhs
+               for t_terms, lhs, terms, rhs in rows)
+
+
 def _verify(h_raw: Sequence[MultiPoly], content: MultiPoly, scalar: Fraction,
             entries: list[MultiPoly], p_sys: ParamSystem, fan: Fan,
             nparams: int) -> Optional[DecompositionResult]:
@@ -369,11 +485,13 @@ def _verify(h_raw: Sequence[MultiPoly], content: MultiPoly, scalar: Fraction,
     coprime, _ = is_primitive_coprime(tup, fan)
     if not coprime:
         return None
-    comp = compose_system(p_sys, tup)
-    scaled_content = content.scale(scalar)
-    for target, raw in zip(h_raw, comp.raw_components()):
-        if raw * scaled_content != target:
-            return None
+    same = _packed_reproduces(h_raw, content, scalar, tup, p_sys)
+    if same is None:
+        scaled_content = content.scale(scalar)
+        same = all(raw * scaled_content == target for target, raw
+                   in zip(h_raw, _raw_components(p_sys, tup)))
+    if not same:
+        return None
     scalar_out = scalar
     absorbed = scalar == 1
     if not absorbed:

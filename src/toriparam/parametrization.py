@@ -28,12 +28,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import (InternalError, LengthMismatch, NonIntegerInput,
                      VariableCountMismatch)
 from .linalg import IntMat, column_lattice_canonical, rank
-from .polynomials import MultiPoly, _certify_coprime, gcd_many, try_divide
+from .polynomials import (MultiPoly, _certify_coprime, _cleared,
+                          _int_image, _integer_terms, _packed_fits,
+                          _packed_value, _substitute, _substitution_bounds,
+                          gcd_many, try_divide)
 from .polytope import (Frame, IntVec, LatticePolytope, _int_vec, frame_of,
                        lattice_points, primitive_collections,
                        PrimitiveCollection, Fan)
@@ -159,6 +163,14 @@ class ParamSystem:
             if m is not None:
                 rows.append((j, self.frame.monomial_exponents(m)))
         return rows
+
+    @cached_property
+    def _integer_components(self) -> tuple[tuple[int, list], ...]:
+        """Per component, its least common denominator L and its terms
+        (L a, exponents) in the facet variables."""
+        exps = self.frame.monomial_exponents
+        return tuple(_integer_terms([(exps(m), a) for m, a in c.coefficients])
+                     for c in self.components)
 
     def to_json(self) -> dict:
         if self.is_monomial():
@@ -333,19 +345,10 @@ class Composition:
         return self.raw
 
 
-def compose_system(p_sys: ParamSystem, f: ParamTuple) -> Composition:
-    """Substitute f into every component and split off the content.
-
-    Each power f_i^e is built once and each point monomial once.  The
-    content is 1 without a gcd when the theorem in the module docstring
-    applies or the certificate proves the components coprime; otherwise
-    it is the gcd of the composed components, taken vertex components
-    first.
-    """
+def _raw_components(p_sys: ParamSystem, f: ParamTuple) -> list[MultiPoly]:
+    """f substituted into every component, in the ring; each power f_i^e
+    is built once and each point monomial once."""
     frame = p_sys.frame
-    if len(f) != frame.ray_count:
-        raise LengthMismatch(
-            f"tuple has {len(f)} entries, frame has {frame.ray_count} rays")
     powers: list[dict[int, MultiPoly]] = [{} for _ in f.entries]
     monomials: dict[IntVec, MultiPoly] = {}
     one = MultiPoly.one(f.nparams)
@@ -369,11 +372,28 @@ def compose_system(p_sys: ParamSystem, f: ParamTuple) -> Composition:
         for m, a in comp.coefficients:
             total = total + power_of(m).scale(a)
         raw.append(total)
+    return raw
+
+
+def compose_system(p_sys: ParamSystem, f: ParamTuple) -> Composition:
+    """Substitute f into every component and split off the content.
+
+    Each power f_i^e is built once and each point monomial once.  The
+    content is 1 without a gcd when the theorem in the module docstring
+    applies or the certificate proves the components coprime; otherwise
+    it is the gcd of the composed components, taken vertex components
+    first.
+    """
+    frame = p_sys.frame
+    if len(f) != frame.ray_count:
+        raise LengthMismatch(
+            f"tuple has {len(f)} entries, frame has {frame.ray_count} rays")
+    raw = _raw_components(p_sys, f)
     coprime, _ = is_primitive_coprime(f, frame.fan)
     order, vertices_covered = p_sys._vertex_order()
     ordered = [raw[j] for j in order]
     if (coprime and vertices_covered) or _certify_coprime(ordered):
-        content = one
+        content = MultiPoly.one(f.nparams)
     else:
         content = gcd_many(ordered)
         if content.is_zero():
@@ -431,13 +451,29 @@ def same_parametrization(a: Sequence[MultiPoly], b: Sequence[MultiPoly]
 
 
 def check_implicit(h: Sequence[MultiPoly], relation: MultiPoly) -> bool:
-    """Substitute the components into a relation and test for zero."""
+    """Substitute the components into a relation and test for zero.
+
+    With the components' integer images H_j = d_j h_j and a common
+    multiple W of the denominators, W * relation(h) = sum_e k_e prod_j
+    H_j^(e_j) is an integer polynomial, and its value at the packed point
+    of ``polynomials`` is zero exactly when it is (the lemma there).  Only
+    when that value would pass the packed size cap, or the components
+    differ in their variable count, is the relation expanded in the ring.
+    """
     if relation.nvars != len(h):
         raise VariableCountMismatch(
             f"relation uses {relation.nvars} variables for {len(h)} components")
     if not h:
         return False
     nparams = h[0].nvars
+    if all(comp.nvars == nparams for comp in h):
+        images = [_int_image(comp) for comp in h]
+        _, terms = _cleared(*_integer_terms(relation.terms()), images)
+        norm, degrees = _substitution_bounds(terms, images, nparams)
+        B, D = norm.bit_length() + 1, max(degrees)
+        if _packed_fits(B, D, nparams):
+            values = [_packed_value(im.terms, B, D) for im in images]
+            return _substitute(terms, values, {}) == 0
     total = MultiPoly.zero(nparams)
     for e, c in relation.terms():
         term = MultiPoly.constant(nparams, c)

@@ -21,13 +21,29 @@ mod P divides every image, and h_top(a) divides f_top(a), so h o l mod P
 has degree deg h, which a unit gcd forces to 0.  This is the modular
 argument of Brown's gcd algorithm (JACM 1971), used only to prove a gcd
 trivial; when it proves nothing, callers compute the gcd.
+
+Identities between polynomials that are known term by term are decided on
+packed integers (Kronecker substitution): ``_int_image`` clears a
+polynomial's denominators, and ``_packed_value`` evaluates the integer
+image at u_v = 2^(B (D+1)^v), a sum of shifted coefficients that Python
+computes with native integer arithmetic.  The lemma: a nonzero integer
+polynomial f of degree at most D in each variable, whose coefficients lie
+below 2^(B-1) in absolute value, does not vanish there.  For the exponents
+e with 0 <= e_v <= D are the base-(D+1) digits of distinct k(e) = sum_v
+e_v (D+1)^v, so f(K) = sum_k c_k 2^(B k) with distinct k.  If c_t is the
+nonzero coefficient of the largest k, then |c_t| 2^(B t) >= 2^(B t), while
+the lower terms add up to at most (2^(B-1) - 1)(2^(B t) - 1)/(2^B - 1) <
+2^(B t).  So two polynomials within those bounds are equal exactly when
+their values are (Schoenhage, EUROCAM 1982; Harvey, J. Symbolic Comput. 44,
+2009).  Callers bound coefficients by 1-norms, as |fg|_inf <= |f|_1 |g|_1,
+and take the ring path instead when B (D+1)^n passes ``_PACKED_BITS``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .errors import (NotUnivariate, ParseError, VariableCountMismatch,
@@ -404,6 +420,101 @@ def _certify_coprime(polys: Sequence[MultiPoly]) -> bool:
     return False
 
 
+# Packed values longer than this many bits take the ring path instead.
+_PACKED_BITS = 1 << 23
+
+
+class _Image(NamedTuple):
+    """den * p for the least common denominator den of p's coefficients."""
+    den: int
+    terms: list[tuple[Exponents, int]]
+    norm: int                  # the 1-norm of den * p
+    degrees: tuple[int, ...]   # the degree in each variable, 0 for p = 0
+
+
+def _int_image(p: MultiPoly) -> _Image:
+    f = p._p
+    den = lcm(*(c.denominator for c in f.values()))
+    terms = [(e, c.numerator * (den // c.denominator)) for e, c in f.items()]
+    degrees = tuple(map(max, zip(*f))) if f else (0,) * p.nvars
+    return _Image(den, terms, sum(abs(c) for _, c in terms), degrees)
+
+
+def _packed_value(terms: Sequence[tuple[Exponents, int]], B: int, D: int
+                  ) -> int:
+    """The integer terms' polynomial at u_v = 2^(B (D+1)^v), for exponents
+    at most D (the lemma in the module docstring)."""
+    w = D + 1
+    total = 0
+    for e, c in terms:
+        k = 0
+        for x in reversed(e):
+            k = k * w + x
+        total += c << (B * k)
+    return total
+
+
+def _packed_fits(B: int, D: int, nvars: int) -> bool:
+    return B * (D + 1) ** nvars <= _PACKED_BITS
+
+
+def _integer_terms(terms: Sequence[tuple[Sequence[int], Fraction]]
+                   ) -> tuple[int, list]:
+    """L and the terms (L a, e) for the terms (e, a), L the least common
+    denominator of the a."""
+    L = lcm(*(a.denominator for _, a in terms))
+    return L, [(a.numerator * (L // a.denominator), e) for e, a in terms]
+
+
+def _cleared(L: int, terms: Sequence[tuple[int, Sequence[int]]],
+             images: Sequence[_Image]) -> tuple[int, Sequence]:
+    """W and the terms (k, e) of W sum (k_0 / L) prod_i g_i^(e_i) over the
+    integer terms (k_0, e), written in the images F_i = d_i g_i of the g_i
+    so that it is sum k prod_i F_i^(e_i)."""
+    if all(im.den == 1 for im in images):
+        return L, terms
+    tops = [max(col) for col in zip(*(e for _, e in terms))]
+    return L * prod(im.den ** t for im, t in zip(images, tops)), [
+        (k * prod(im.den ** (t - x) for im, t, x in zip(images, tops, e)), e)
+        for k, e in terms]
+
+
+def _substitution_bounds(terms: Sequence[tuple[int, Sequence[int]]],
+                         images: Sequence[_Image], nvars: int
+                         ) -> tuple[int, list[int]]:
+    """A bound on the 1-norm of sum k prod_i F_i^(e_i) over the terms
+    (k, e), and a bound on its degree in each variable."""
+    norm = 0
+    degrees = [0] * nvars
+    for k, e in terms:
+        b = abs(k)
+        deg = [0] * nvars
+        for im, x in zip(images, e):
+            if x:
+                b *= im.norm ** x
+                for v, d in enumerate(im.degrees):
+                    deg[v] += x * d
+        norm += b
+        degrees = list(map(max, degrees, deg))
+    return norm, degrees
+
+
+def _substitute(terms: Sequence[tuple[int, Sequence[int]]],
+                values: Sequence[int], powers: dict) -> int:
+    """sum k prod_i values_i^(e_i) over the terms (k, e); ``powers`` keeps
+    values_i^x under (i, x) for the next call."""
+    total = 0
+    for k, e in terms:
+        for i, x in enumerate(e):
+            if x:
+                p = powers.get((i, x))
+                if p is None:
+                    p = powers[i, x] = values[i] ** x
+                k *= p
+        total += k
+    return total
+
+
 class Factorization(NamedTuple):
     unit: Fraction
     factors: tuple[tuple[MultiPoly, int], ...]
@@ -643,14 +754,14 @@ class _Parser:
     def atom(self):
         kind, val, pos = self.take()
         if kind == "int":
-            num = int(val)
+            num = _digits_int(val)
             k2, v2, _ = self.peek()
             if k2 == "op" and v2 == "/":
                 self.take()
                 k3, v3, pos3 = self.take()
                 if k3 != "int":
                     raise ParseError("denominator must be an integer", pos3)
-                den = int(v3)
+                den = _digits_int(v3)
                 if den == 0:
                     raise ParseError("zero denominator", pos3)
                 return self.ring.ground_new(QQ(num, den))
@@ -714,6 +825,19 @@ def int_str(n: int) -> str:
     k = n.bit_length() * 3 // 20  # about half the decimal digits
     hi, lo = divmod(n, 10 ** k)
     return int_str(hi) + int_str(lo).zfill(k)
+
+
+def _digits_int(digits: str) -> int:
+    """int(digits) for a string of decimal digits of any length.
+
+    The inverse of ``int_str``: the string is split near the middle until
+    the pieces are short enough for int(), and the pieces are joined by a
+    power of 10, so Python's limit on str-to-int conversion never applies.
+    """
+    if len(digits) <= 600:  # below 640 digits, as in int_str
+        return int(digits)
+    k = len(digits) // 2
+    return _digits_int(digits[:-k]) * 10 ** k + _digits_int(digits[-k:])
 
 
 def rational_str(c) -> str:

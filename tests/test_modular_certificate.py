@@ -344,10 +344,10 @@ def test_workload_composes_take_no_gcd(monkeypatch, tmp_path):
 
 
 def test_verify_keeps_its_primitive_coprime_precheck(monkeypatch):
-    """Checking ``comp.tuple_coprime`` after composing instead would change
-    this outcome: the candidate tuple composes to all zeros, so
-    ``compose_system`` would raise its excluded-locus ValueError where the
-    pre-check rejects the candidate and the search ends in NoPreimage."""
+    """``_verify`` still asks ``is_primitive_coprime`` about each
+    candidate.  The all-zero candidate here fails that pre-check; with the
+    pre-check patched out it reaches the identity test, which refuses it
+    too, so the search still ends in NoPreimage."""
     frame = frame_of(polytope_from_vertices(2, [(0, 0), (2, 0), (0, 2)]))
     point = {frame.monomial_exponents(m): m
              for m in lattice_points(frame.polytope)}
@@ -364,7 +364,17 @@ def test_verify_keeps_its_primitive_coprime_precheck(monkeypatch):
     target = (q, zero, zero, zero)
     with pytest.raises(NoPreimage):
         decompose_with_hints(target, steiner, frame.fan, [q])
+    asked = []
+
+    def recording(tup, fan):
+        asked.append(tup.entries)
+        return is_primitive_coprime(tup, fan)
+
+    monkeypatch.setattr(decomposition, "is_primitive_coprime", recording)
+    with pytest.raises(NoPreimage):
+        decompose_with_hints(target, steiner, frame.fan, [q])
+    assert asked == [(zero, zero, zero)]
     monkeypatch.setattr(decomposition, "is_primitive_coprime",
                         lambda tup, fan: (True, ()))
-    with pytest.raises(ValueError, match="identically zero"):
+    with pytest.raises(NoPreimage):
         decompose_with_hints(target, steiner, frame.fan, [q])
