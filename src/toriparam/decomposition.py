@@ -4,17 +4,31 @@ Up to content and a scalar, each component of a target H is a monomial in
 the unknown tuple entries, so the multiplicities mu of every irreducible
 factor of H solve E.x = mu for the factor's orders x >= 0, E being the
 system's exponent matrix; the scalars solve the multiplicative analogue
-prime by prime.  The vertex components of a composition hold every
-irreducible factor (see ``parametrization``), so they are factored first
-and the other univariate components are split by exact division over the
-factors found, with a factorization only where a cofactor is left.
-Orders of a primitive-coprime tuple are supported on one cone (a ray set
-outside every cone holds a primitive collection), so they are searched
-cone by cone in the box [0, max mu].  The bound is proved for every ray
-with a positive column entry (x_rho * E_j,rho <= mu_j) and assumed for
-rays zero on every nonzero row.  The first order combination passing
-exact verification wins; exhaustion means the target does not factor
-through the system over the rationals.
+prime by prime.  Orders of a primitive-coprime tuple are supported on one
+cone (a ray set outside every cone holds a primitive collection), so they
+are searched cone by cone in the box [0, max mu].  The bound is proved for
+every ray with a positive column entry (x_rho * E_j,rho <= mu_j) and
+assumed for rays zero on every nonzero row.  The first order combination
+passing exact verification wins; exhaustion means the target does not
+factor through the system over the rationals.
+
+A univariate target is not factored.  The vertex components of a
+composition hold every irreducible factor (see ``parametrization``), so
+every component is split by exact division over a squarefree, pairwise
+coprime base of the vertex components (``polynomials._coprime_base``).
+The irreducible factors inside one base element share their
+multiplicities in every component, so each of them has the element's
+order system E.x = mu, and the same solutions.  When every element has
+at most one solution, the search over the irreducibles tries one
+combination, whose entries are the products of the elements' powers, or
+finds none; so the search over the base gives the same result or the
+same NoPreimage.  Every other case falls back to the irreducibles: the
+vertex components are factored, and each other component is split over
+the factors found, factored only where a cofactor is left.  Those cases
+are a component that does not split over the base, components in two
+variables, an element with two or more solutions, and an element whose
+search passes the node cap (over the irreducibles, another factor may
+fail first).
 
 Verification builds no polynomial.  By the paper's theorem a candidate's
 composition is, component by component, a sum of constants times products
@@ -33,16 +47,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (BudgetExceeded, IncompleteHints, InternalError,
                      LengthMismatch, MultiParameterUnsupported, NoPreimage,
                      NotMonomialSystem, NotUnivariate)
 from .linalg import IntMat, _particular, _reduce, solve_integer_linear
 from .polynomials import (Factorization, MultiPoly, _Image,
-                          _certify_coprime, _cleared, _int_image,
-                          _packed_fits, _packed_value, _substitute,
-                          _substitution_bounds, factor_over,
+                          _certify_coprime, _cleared, _coprime_base,
+                          _int_image, _packed_fits, _packed_value,
+                          _substitute, _substitution_bounds, factor_over,
                           factor_univariate, gcd_many, normalized,
                           try_divide)
 from .parametrization import (ParamSystem, ParamTuple, _raw_components,
@@ -77,13 +91,38 @@ def decompose_univariate(h_raw: Sequence[MultiPoly], p_sys: ParamSystem,
     if not p_sys.is_monomial():
         raise NotMonomialSystem(
             "this entry point requires single-monomial components")
+    target = _reduce_target(h_raw, p_sys)
+    split = _split_over_base(target)
+    if split is not None:
+        result = _search(target, fan, split, unique=True)
+        if result is not None:
+            return result
+    return _search(target, fan, _factor_rows(target))
 
+
+def _split_over_base(target: _Target) -> Optional[dict[int, Factorization]]:
+    """Every row split over a coprime base of the vertex rows; None when
+    the rows use two variables or some row does not split."""
+    rows = [target.reduced[j] for j in target.order]
+    if len({v for h in rows for v in h.used_variables()}) > 1:
+        return None
+    base = _coprime_base(rows[:target.vertex_rows])
+    split = {}
+    for j, h in zip(target.order, rows):
+        fac = factor_over(h, base)
+        if fac is None:
+            return None
+        split[j] = fac
+    return split
+
+
+def _factor_rows(target: _Target) -> dict[int, Factorization]:
+    """Every row split into irreducibles: a row that splits over the
+    factors of the rows before it is not factored again."""
     found: list[MultiPoly] = []
-
-    def factorizer(poly: MultiPoly) -> Factorization:
-        # _decompose passes vertex rows first, and they hold every
-        # irreducible factor of a composition, so a later row that splits
-        # over the factors found so far needs no factorization of its own.
+    factorizations = {}
+    for j in target.order:
+        poly = target.reduced[j]
         fac = factor_over(poly, found)
         if fac is None:
             try:
@@ -93,9 +132,8 @@ def decompose_univariate(h_raw: Sequence[MultiPoly], p_sys: ParamSystem,
                     "a component mixes parameters after content "
                     "extraction; supply factor hints") from exc
             found.extend(q for q, _ in fac.factors if q not in found)
-        return fac
-
-    return _decompose(h_raw, p_sys, fan, factorizer)
+        factorizations[j] = fac
+    return factorizations
 
 
 def decompose_with_hints(h_raw: Sequence[MultiPoly], p_sys: ParamSystem,
@@ -136,7 +174,9 @@ def decompose_with_hints(h_raw: Sequence[MultiPoly], p_sys: ParamSystem,
                 "hints leave a non-constant cofactor behind")
         return Factorization(rest.constant_value(), tuple(factors))
 
-    return _decompose(h_raw, p_sys, fan, factor_with_hints)
+    target = _reduce_target(h_raw, p_sys)
+    return _search(target, fan, {j: factor_with_hints(target.reduced[j])
+                                 for j in target.order})
 
 
 def _packed_factorization(poly: MultiPoly, hints: Sequence[MultiPoly],
@@ -199,11 +239,21 @@ def _packed_factorization(poly: MultiPoly, hints: Sequence[MultiPoly],
     return None
 
 
-def _decompose(h_raw: Sequence[MultiPoly], p_sys: ParamSystem, fan: Fan,
-               factorizer: Callable[[MultiPoly], Factorization]
-               ) -> DecompositionResult:
-    """The shared decomposition; ``factorizer`` gets the nonzero
-    single-monomial rows of the reduced target, vertex rows first."""
+class _Target(NamedTuple):
+    """A target divided by its content, and the rows decomposition reads."""
+
+    h_raw: tuple[MultiPoly, ...]
+    content: MultiPoly
+    reduced: list[MultiPoly]
+    rows: list[tuple[int, tuple[int, ...]]]  # nonzero single-monomial rows
+    order: list[int]       # their indices, vertex rows first
+    vertex_rows: int       # how many of ``order`` are vertex rows
+    active: list[int]      # rays not forced to zero
+    p_sys: ParamSystem
+
+
+def _reduce_target(h_raw: Sequence[MultiPoly], p_sys: ParamSystem
+                   ) -> _Target:
     h_raw = tuple(h_raw)
     if len(h_raw) != p_sys.size:
         raise LengthMismatch(
@@ -213,8 +263,8 @@ def _decompose(h_raw: Sequence[MultiPoly], p_sys: ParamSystem, fan: Fan,
     nparams = h_raw[0].nvars
     r = p_sys.frame.ray_count
 
-    order, _ = p_sys._vertex_order()
-    ordered = [h_raw[j] for j in order]
+    first, rest, _ = p_sys._vertex_order()
+    ordered = [h_raw[j] for j in first + rest]
     content = (MultiPoly.one(nparams) if _certify_coprime(ordered)
                else gcd_many(ordered))
     reduced = []
@@ -244,15 +294,33 @@ def _decompose(h_raw: Sequence[MultiPoly], p_sys: ParamSystem, fan: Fan,
         zero_entries.update(hitters)
     active = [i for i in range(r) if i not in zero_entries]
 
-    # Factor the surviving single-monomial components.
     nonzero = {j for j, _ in nonzero_rows}
-    factorizations = {j: factorizer(reduced[j]) for j in order
-                      if j in nonzero}
-    irreducibles: list[MultiPoly] = []
+    vertex = [j for j in first if j in nonzero]
+    order = vertex + [j for j in rest if j in nonzero]
+    return _Target(h_raw, content, reduced, nonzero_rows, order, len(vertex),
+                   active, p_sys)
+
+
+def _search(target: _Target, fan: Fan,
+            factorizations: dict[int, Factorization], unique: bool = False
+            ) -> Optional[DecompositionResult]:
+    """The first order combination that verifies, given every row's
+    factorization; NoPreimage when none does.
+
+    With ``unique`` the factors may be base elements instead of
+    irreducibles, and the search gives up (None) where its answer could
+    differ from the one over the irreducibles: when a factor has two or
+    more order solutions, or its search passes the node cap.
+    """
+    h_raw, content, p_sys = target.h_raw, target.content, target.p_sys
+    nonzero_rows, active = target.rows, target.active
+    nparams = h_raw[0].nvars
+    r = p_sys.frame.ray_count
+    factors: list[MultiPoly] = []
     for j, _ in nonzero_rows:
         for fac, _mult in factorizations[j].factors:
-            if fac not in irreducibles:
-                irreducibles.append(fac)
+            if fac not in factors:
+                factors.append(fac)
 
     if nonzero_rows:
         exp_matrix = IntMat.from_rows([[e[i] for i in active]
@@ -268,16 +336,25 @@ def _decompose(h_raw: Sequence[MultiPoly], p_sys: ParamSystem, fan: Fan,
         scalar, coeffs = Fraction(1), [Fraction(1)] * len(active)
 
     per_factor_candidates: list[list[tuple[int, ...]]] = []
-    for fac in irreducibles:
+    for fac in factors:
         mults = [_multiplicity(factorizations[j], fac)
                  for j, _ in nonzero_rows]
-        candidates = _cone_solutions(exp_matrix, mults, fan, active)
-        if not candidates:
-            raise NoPreimage(
-                "no nonnegative integer orders match the factor "
-                "multiplicities (the preimage would need radicals or lies "
-                "in the excluded locus)")
+        try:
+            candidates = _cone_solutions(exp_matrix, mults, fan, active)
+        except BudgetExceeded:
+            if unique:
+                return None
+            raise
         per_factor_candidates.append(candidates)
+        if not candidates and not unique:
+            break
+    if not all(per_factor_candidates):
+        raise NoPreimage(
+            "no nonnegative integer orders match the factor "
+            "multiplicities (the preimage would need radicals or lies "
+            "in the excluded locus)")
+    if unique and any(len(c) > 1 for c in per_factor_candidates):
+        return None
 
     tried = 0
     for combo in itertools.product(*per_factor_candidates):
@@ -289,7 +366,7 @@ def _decompose(h_raw: Sequence[MultiPoly], p_sys: ParamSystem, fan: Fan,
         entries: list[MultiPoly] = []
         for pos, i in enumerate(active):
             ent = MultiPoly.one(nparams)
-            for fac, orders in zip(irreducibles, combo):
+            for fac, orders in zip(factors, combo):
                 if orders[pos]:
                     ent = ent * fac ** orders[pos]
             entries.append(ent.scale(coeffs[pos]))

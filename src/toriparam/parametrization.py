@@ -140,10 +140,10 @@ class ParamSystem:
             pts.append(m)
         return tuple(pts)
 
-    def _vertex_order(self) -> tuple[list[int], bool]:
-        """Component indices with the one-term components at the frame's
-        cone vertices first, and whether every maximal cone's vertex has
-        such a component."""
+    def _vertex_order(self) -> tuple[list[int], list[int], bool]:
+        """Indices of the one-term components at the frame's cone vertices,
+        of the other components, and whether every maximal cone's vertex
+        has such a component."""
         vertices = self.frame._cone_vertices
         first, rest, seen = [], [], set()
         for j, c in enumerate(self.components):
@@ -153,7 +153,7 @@ class ParamSystem:
                 seen.add(m)
             else:
                 rest.append(j)
-        return first + rest, None not in vertices and seen >= set(vertices)
+        return first, rest, None not in vertices and seen >= set(vertices)
 
     def exponent_rows(self) -> list[tuple[int, IntVec]]:
         """(component index, exponent vector) for single-monomial components."""
@@ -390,8 +390,8 @@ def compose_system(p_sys: ParamSystem, f: ParamTuple) -> Composition:
             f"tuple has {len(f)} entries, frame has {frame.ray_count} rays")
     raw = _raw_components(p_sys, f)
     coprime, _ = is_primitive_coprime(f, frame.fan)
-    order, vertices_covered = p_sys._vertex_order()
-    ordered = [raw[j] for j in order]
+    first, rest, vertices_covered = p_sys._vertex_order()
+    ordered = [raw[j] for j in first + rest]
     if (coprime and vertices_covered) or _certify_coprime(ordered):
         content = MultiPoly.one(f.nparams)
     else:

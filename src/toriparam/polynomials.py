@@ -3,7 +3,9 @@
 One polynomial engine backs everything here: a ``MultiPoly`` wraps an
 element of sympy's sparse polynomial ring over QQ in graded lexicographic
 order, one ring per variable count, built on first use.  Arithmetic,
-exact division, gcd and univariate factorization all run in that ring.
+exact division, gcd and univariate factorization all run in that ring;
+only the squarefree coprime base of univariate polynomials
+(``_coprime_base``) runs on sympy's dense integer routines.
 This module adds immutability, the text grammar and the normalization
 conventions (gcd has content 1 and positive leading coefficient, factors
 are monic, gcd(0, ..., 0) = 0); coefficients leave it as ``Fraction``.
@@ -596,14 +598,83 @@ def _exact_quotient(f: list[int], g: list[int]) -> Optional[list[int]]:
     return None if any(r[len(q):]) else q
 
 
+def _coprime_base(polys: Sequence[MultiPoly]) -> list[MultiPoly]:
+    """Monic, squarefree, pairwise coprime polynomials such that each of
+    ``polys`` is a constant times a product of their powers; the
+    polynomials use at most one variable, the same one, and constants
+    (zero included) add nothing.
+
+    Each polynomial's squarefree parts s_k (Yun's algorithm, f = c prod
+    s_k^k) are refined into the base one at a time: a part a that meets a
+    base element b in a nonconstant g = gcd(a, b) replaces b by g and b/g
+    and goes on as a/g.  As a and b are squarefree, g is coprime to a/g
+    and to b/g, and it is coprime to the other elements, which are coprime
+    to b; so the base stays pairwise coprime, and every s_k stays a
+    product of its elements.  Hence the irreducible factors inside one
+    element share their multiplicity in every input, and no factorization
+    is needed (Bernstein, "Factoring into coprimes in essentially linear
+    time", J. Algorithms 2005, refines the same way in quasi-linear time).
+    """
+    from sympy.polys.euclidtools import dup_inner_gcd
+    from sympy.polys.sqfreetools import dup_sqf_list
+
+    used = {v for p in polys for v in p.used_variables()}
+    if len(used) > 1:
+        raise NotUnivariate(f"polynomials use variables {sorted(used)}")
+    if not used:
+        return []
+    var = used.pop()
+    base: list[list[int]] = []
+    seen = set()
+    for p in polys:
+        if p.is_constant():
+            continue
+        f = _int_coefficients(p, var)
+        # an input equal to an earlier one up to a constant adds nothing
+        key = tuple(f) if f[0] > 0 else tuple(-c for c in f)
+        if key in seen:
+            continue
+        seen.add(key)
+        for a, _ in dup_sqf_list(f, ZZ)[1]:
+            refined = []
+            for b in base:
+                if len(a) > 1:
+                    g, a, b_rest = dup_inner_gcd(a, b, ZZ)
+                    if len(g) > 1:
+                        refined.append(g)
+                        b = b_rest
+                if len(b) > 1:
+                    refined.append(b)
+            if len(a) > 1:
+                refined.append(a)
+            base = refined
+    nvars = polys[0].nvars
+    ring = polys[0]._p.ring
+    out = []
+    for b in base:
+        top = len(b) - 1
+        e = [0] * nvars
+        terms = {}
+        for i, c in enumerate(b):
+            if c:
+                e[var] = top - i
+                terms[tuple(e)] = QQ(c, b[0])
+        out.append(_wrap(nvars, ring.dtype(terms)))
+    return out
+
+
 def factor_over(p: MultiPoly, irreducibles: Sequence[MultiPoly]
                 ) -> Optional[Factorization]:
-    """``factor_univariate(p)``, found by exact division alone, when p uses
-    at most one variable and is a constant times a product of the given
-    monic irreducibles (factors of ``factor_univariate``); None otherwise.
+    """``p`` split over ``irreducibles`` by exact division alone, when p
+    uses at most one variable and is a constant times a product of their
+    powers; None otherwise.
 
-    The divisions run on primitive integer coefficient lists, and the unit
-    is p's leading coefficient, as every factor is monic.
+    ``irreducibles`` may be any list of monic, pairwise coprime, squarefree
+    polynomials, such as the factors of ``factor_univariate`` or the
+    elements of ``_coprime_base``; when they include every monic
+    irreducible factor of p, the result is ``factor_univariate(p)``.  The
+    divisions run on primitive integer coefficient lists, and the unit is
+    p's leading coefficient, as every element is monic.
     """
     used = p.used_variables()
     if len(used) > 1 or p.is_zero():
