@@ -32,8 +32,7 @@ from .parametrization import (Composition, LatticePolynomial, ParamSystem,
                               check_implicit, compose_system,
                               full_monomial_system, is_primitive_coprime,
                               is_rational_parametrization,
-                              same_parametrization, subset_monomial_system,
-                              tuple_power)
+                              same_parametrization, subset_monomial_system)
 from .resolution import (ResolvedFan, VirtualFacet, minimal_resolution,
                          resolved_frame, resolved_monomial_exponents,
                          virtual_facets)

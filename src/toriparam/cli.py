@@ -344,7 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--system", required=True)
     sp.add_argument("--target", required=True)
     sp.add_argument("--hints", nargs="*", default=None,
-                    help="irreducible factors of the target components")
+                    help="irreducible factors of the target components; "
+                    "write a hint that starts with '-' in parentheses, "
+                    "as (-u)")
     sp.add_argument("--params", type=int, default=None)
     sp.add_argument("--resolved", action="store_true")
 

@@ -14,21 +14,29 @@ factor through the system over the rationals.
 
 A univariate target is not factored.  The vertex components of a
 composition hold every irreducible factor (see ``parametrization``), so
-every component is split by exact division over a squarefree, pairwise
-coprime base of the vertex components (``polynomials._coprime_base``).
-The irreducible factors inside one base element share their
-multiplicities in every component, so each of them has the element's
-order system E.x = mu, and the same solutions.  When every element has
-at most one solution, the search over the irreducibles tries one
-combination, whose entries are the products of the elements' powers, or
-finds none; so the search over the base gives the same result or the
-same NoPreimage.  Every other case falls back to the irreducibles: the
-vertex components are factored, and each other component is split over
-the factors found, factored only where a cofactor is left.  Those cases
-are a component that does not split over the base, components in two
-variables, an element with two or more solutions, and an element whose
-search passes the node cap (over the irreducibles, another factor may
-fail first).
+every row is split by exact division over a squarefree, pairwise coprime
+base of the vertex rows (``polynomials._coprime_base``), one base per
+parameter, so that rows which each use one parameter decompose too.  When
+some row does not split, the base is built from every row, and every row
+splits.  On a single-monomial system, the only kind this path accepts,
+the search over the base elements answers as the search over the
+irreducibles would:
+
+- every choice of per-factor orders x with E.x = mu composes to the
+  target once content and fitted scalars are applied, so verification
+  can only fail on primitive-coprimality;
+- primitive-coprimality is a condition on each factor's own orders, given
+  the fixed zero entries, so the first combination that verifies in
+  product order is each factor's first good orders;
+- the irreducibles inside one base element share its multiplicities in
+  every row, so they have exactly its solution list, and the base search
+  returns the same tuple, or the same NoPreimage;
+- the cone walks of an element and of its irreducibles are identical, so
+  when the elements come in the order of their first irreducibles the
+  node cap falls on the same factor, and the base search tries no more
+  combinations before ``_CANDIDATE_CAP``.  The factors are ordered by
+  their terms, and a product of irreducibles may sort elsewhere; only the
+  budgets can then tell the two searches apart.
 
 Verification builds no polynomial.  By the paper's theorem a candidate's
 composition is, component by component, a sum of constants times products
@@ -49,18 +57,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import (BudgetExceeded, IncompleteHints, InternalError,
-                     LengthMismatch, MultiParameterUnsupported, NoPreimage,
-                     NotMonomialSystem, NotUnivariate)
+from .errors import (BudgetExceeded, IncompleteHints, LengthMismatch,
+                     MultiParameterUnsupported, NoPreimage,
+                     NotMonomialSystem)
 from .linalg import IntMat, _particular, _reduce, solve_integer_linear
-from .polynomials import (Factorization, MultiPoly, _Image,
-                          _certify_coprime, _cleared, _coprime_base,
-                          _int_image, _packed_fits, _packed_value,
-                          _substitute, _substitution_bounds, factor_over,
-                          factor_univariate, gcd_many, normalized,
-                          try_divide)
+from .polynomials import (Factorization, MultiPoly, _Image, _cleared,
+                          _coprime_base, _int_image, _packed_fits,
+                          _packed_value, _substitute, _substitution_bounds,
+                          factor_over, normalized, try_divide)
 from .parametrization import (ParamSystem, ParamTuple, _raw_components,
-                              is_primitive_coprime)
+                              _remove_content, is_primitive_coprime)
 from .polytope import Fan
 from .subtorus import offset_character, scaling_group, solve_character
 
@@ -85,55 +91,39 @@ def decompose_univariate(h_raw: Sequence[MultiPoly], p_sys: ParamSystem,
 
     Raises NoPreimage when no primitive-coprime preimage exists over the
     rationals (for instance when the recovery would require radicals), and
-    MultiParameterUnsupported when more than one parameter appears (supply
+    MultiParameterUnsupported when a component uses two parameters (supply
     factor hints in that case).
     """
     if not p_sys.is_monomial():
         raise NotMonomialSystem(
             "this entry point requires single-monomial components")
     target = _reduce_target(h_raw, p_sys)
-    split = _split_over_base(target)
-    if split is not None:
-        result = _search(target, fan, split, unique=True)
-        if result is not None:
-            return result
-    return _search(target, fan, _factor_rows(target))
+    return _search(target, fan, _split_over_base(target))
 
 
-def _split_over_base(target: _Target) -> Optional[dict[int, Factorization]]:
-    """Every row split over a coprime base of the vertex rows; None when
-    the rows use two variables or some row does not split."""
+def _split_over_base(target: _Target) -> dict[int, Factorization]:
+    """Every row split over a coprime base of the vertex rows, or of every
+    row when some row does not split over that."""
     rows = [target.reduced[j] for j in target.order]
-    if len({v for h in rows for v in h.used_variables()}) > 1:
-        return None
-    base = _coprime_base(rows[:target.vertex_rows])
-    split = {}
-    for j, h in zip(target.order, rows):
-        fac = factor_over(h, base)
-        if fac is None:
-            return None
-        split[j] = fac
-    return split
+    if any(len(h.used_variables()) > 1 for h in rows):
+        raise MultiParameterUnsupported(
+            "a component mixes parameters after content extraction; "
+            "supply factor hints")
+    base = _coprime_bases(rows[:target.vertex_rows])
+    split = [factor_over(h, base) for h in rows]
+    if None in split:
+        base = _coprime_bases(rows)
+        split = [factor_over(h, base) for h in rows]
+    return dict(zip(target.order, split))
 
 
-def _factor_rows(target: _Target) -> dict[int, Factorization]:
-    """Every row split into irreducibles: a row that splits over the
-    factors of the rows before it is not factored again."""
-    found: list[MultiPoly] = []
-    factorizations = {}
-    for j in target.order:
-        poly = target.reduced[j]
-        fac = factor_over(poly, found)
-        if fac is None:
-            try:
-                fac = factor_univariate(poly)
-            except NotUnivariate as exc:
-                raise MultiParameterUnsupported(
-                    "a component mixes parameters after content "
-                    "extraction; supply factor hints") from exc
-            found.extend(q for q, _ in fac.factors if q not in found)
-        factorizations[j] = fac
-    return factorizations
+def _coprime_bases(rows: Sequence[MultiPoly]) -> list[MultiPoly]:
+    """A coprime base of the rows in each parameter, concatenated."""
+    by_param: dict[tuple[int, ...], list[MultiPoly]] = {}
+    for h in rows:
+        by_param.setdefault(h.used_variables(), []).append(h)
+    return [b for used, polys in by_param.items() if used
+            for b in _coprime_base(polys)]
 
 
 def decompose_with_hints(h_raw: Sequence[MultiPoly], p_sys: ParamSystem,
@@ -260,20 +250,10 @@ def _reduce_target(h_raw: Sequence[MultiPoly], p_sys: ParamSystem
             f"target has {len(h_raw)} components, system has {p_sys.size}")
     if all(h.is_zero() for h in h_raw):
         raise ValueError("target components are all zero")
-    nparams = h_raw[0].nvars
     r = p_sys.frame.ray_count
 
     first, rest, _ = p_sys._vertex_order()
-    ordered = [h_raw[j] for j in first + rest]
-    content = (MultiPoly.one(nparams) if _certify_coprime(ordered)
-               else gcd_many(ordered))
-    reduced = []
-    for h in h_raw:
-        q = try_divide(h, content)
-        if q is None:
-            raise InternalError("a target component is not divisible by "
-                                "the gcd of all components")
-        reduced.append(q)
+    content, reduced = _remove_content(h_raw, first + rest)
 
     mono_rows = p_sys.exponent_rows()
     if not mono_rows:
@@ -302,16 +282,9 @@ def _reduce_target(h_raw: Sequence[MultiPoly], p_sys: ParamSystem
 
 
 def _search(target: _Target, fan: Fan,
-            factorizations: dict[int, Factorization], unique: bool = False
-            ) -> Optional[DecompositionResult]:
+            factorizations: dict[int, Factorization]) -> DecompositionResult:
     """The first order combination that verifies, given every row's
-    factorization; NoPreimage when none does.
-
-    With ``unique`` the factors may be base elements instead of
-    irreducibles, and the search gives up (None) where its answer could
-    differ from the one over the irreducibles: when a factor has two or
-    more order solutions, or its search passes the node cap.
-    """
+    factorization; NoPreimage when none does."""
     h_raw, content, p_sys = target.h_raw, target.content, target.p_sys
     nonzero_rows, active = target.rows, target.active
     nparams = h_raw[0].nvars
@@ -339,22 +312,13 @@ def _search(target: _Target, fan: Fan,
     for fac in factors:
         mults = [_multiplicity(factorizations[j], fac)
                  for j, _ in nonzero_rows]
-        try:
-            candidates = _cone_solutions(exp_matrix, mults, fan, active)
-        except BudgetExceeded:
-            if unique:
-                return None
-            raise
+        candidates = _cone_solutions(exp_matrix, mults, fan, active)
+        if not candidates:
+            raise NoPreimage(
+                "no nonnegative integer orders match the factor "
+                "multiplicities (the preimage would need radicals or lies "
+                "in the excluded locus)")
         per_factor_candidates.append(candidates)
-        if not candidates and not unique:
-            break
-    if not all(per_factor_candidates):
-        raise NoPreimage(
-            "no nonnegative integer orders match the factor "
-            "multiplicities (the preimage would need radicals or lies "
-            "in the excluded locus)")
-    if unique and any(len(c) > 1 for c in per_factor_candidates):
-        return None
 
     tried = 0
     for combo in itertools.product(*per_factor_candidates):

@@ -307,22 +307,6 @@ def is_primitive_coprime(f: ParamTuple | Sequence[MultiPoly], fan: Fan
     return (not violated, tuple(violated))
 
 
-def tuple_power(f: ParamTuple | Sequence[MultiPoly], m: Sequence[int],
-                p: LatticePolytope | Frame) -> MultiPoly:
-    """Substitute the tuple into the point monomial of m: prod f_i^{e_i}."""
-    frame = _as_frame(p)
-    entries = f.entries if isinstance(f, ParamTuple) else tuple(f)
-    if len(entries) != frame.ray_count:
-        raise LengthMismatch(
-            f"{len(entries)} entries for {frame.ray_count} rays")
-    exps = frame.monomial_exponents(m)
-    out = MultiPoly.one(entries[0].nvars)
-    for q, e in zip(entries, exps):
-        if e:
-            out = out * q ** e
-    return out
-
-
 @dataclass(frozen=True)
 class Composition:
     """Result of substituting a tuple into a system.
@@ -375,6 +359,33 @@ def _raw_components(p_sys: ParamSystem, f: ParamTuple) -> list[MultiPoly]:
     return raw
 
 
+def _remove_content(raw: Sequence[MultiPoly], order: Sequence[int],
+                    trivial: bool = False
+                    ) -> tuple[MultiPoly, list[MultiPoly]]:
+    """The content of ``raw`` and the components divided by it.
+
+    The content is 1 when ``trivial`` says so or the certificate proves
+    the components, taken in ``order``, coprime; the reduced components
+    are then ``raw`` itself.  Otherwise it is their gcd, taken in
+    ``order``, and each component is divided by it exactly.
+    """
+    ordered = [raw[j] for j in order]
+    if trivial or _certify_coprime(ordered):
+        return MultiPoly.one(raw[0].nvars), list(raw)
+    content = gcd_many(ordered)
+    if content.is_zero():
+        raise ValueError("composition is identically zero; the tuple "
+                         "maps into the excluded coordinate locus")
+    reduced = []
+    for h in raw:
+        q = try_divide(h, content)
+        if q is None:
+            raise InternalError("a component is not divisible by the gcd "
+                                "of all components")
+        reduced.append(q)
+    return content, reduced
+
+
 def compose_system(p_sys: ParamSystem, f: ParamTuple) -> Composition:
     """Substitute f into every component and split off the content.
 
@@ -391,21 +402,8 @@ def compose_system(p_sys: ParamSystem, f: ParamTuple) -> Composition:
     raw = _raw_components(p_sys, f)
     coprime, _ = is_primitive_coprime(f, frame.fan)
     first, rest, vertices_covered = p_sys._vertex_order()
-    ordered = [raw[j] for j in first + rest]
-    if (coprime and vertices_covered) or _certify_coprime(ordered):
-        content = MultiPoly.one(f.nparams)
-    else:
-        content = gcd_many(ordered)
-        if content.is_zero():
-            raise ValueError("composition is identically zero; the tuple "
-                             "maps into the excluded coordinate locus")
-    reduced = []
-    for h in raw:
-        q = try_divide(h, content)
-        if q is None:
-            raise InternalError("a component is not divisible by the gcd "
-                                "of all components")
-        reduced.append(q)
+    content, reduced = _remove_content(raw, first + rest,
+                                       coprime and vertices_covered)
     return Composition(content,
                        RationalParametrization._trusted(f.nparams,
                                                         tuple(reduced)),

@@ -127,6 +127,16 @@ class TestComposeDecompose:
         data = json.loads(out)
         assert data["tuple"] == ["v", "1", "1", "u"]
 
+    def test_negative_hint_in_parentheses(self, paths, capsys):
+        # hints are normalized, so (-u) is the hint u; a bare -u would be
+        # read as an option
+        args = ("decompose", paths["square"], "--system", "delta",
+                "--target", "(v, u + 1, u*v^2, u^2*v + u*v)", "--hints")
+        plain = run(capsys, *args, "u", "v", "u + 1")
+        negated = run(capsys, *args, "(-u)", "v", "u + 1")
+        assert plain[0] == 0 and "(u*v, 1, u + 1, v)" in plain[1]
+        assert negated == plain
+
     def test_no_preimage_exit_code(self, paths, capsys):
         code, out, _ = run(capsys, "decompose", paths["triangle"],
                            "--system", "delta", "--target", "(u, u, v, u)")
@@ -313,6 +323,6 @@ class TestRobustExits:
         import toriparam.parametrization as parametrization
         monkeypatch.setattr(parametrization, "try_divide", lambda p, d: None)
         code, out, err = run(capsys, "compose", paths["square"], "--system",
-                             "delta", "--tuple", "(u, 1, 1, u + 1)")
+                             "delta", "--tuple", "(u, u, 1, 1)")
         assert code == 4 and out == ""
         assert err.startswith("error: internal error (InternalError:")

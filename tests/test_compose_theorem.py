@@ -21,12 +21,14 @@ from toriparam.errors import NotFullDimensional
 from toriparam.parametrization import (LatticePolynomial, ParamSystem,
                                        ParamTuple, compose_system,
                                        full_monomial_system,
-                                       subset_monomial_system, tuple_power)
+                                       subset_monomial_system)
 from toriparam.polynomials import MultiPoly, gcd_many, parse, try_divide
 from toriparam.polytope import (frame_of, lattice_points, normal_fan,
                                 polytope_from_vertices,
                                 primitive_collections)
 from toriparam.resolution import minimal_resolution, resolved_frame
+
+from oracles import tuple_power
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 

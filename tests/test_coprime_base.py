@@ -5,8 +5,10 @@ squarefree, pairwise coprime base of its vertex rows instead of factoring
 them.  The base is checked against ``factor_univariate``: its elements are
 monic, squarefree and pairwise coprime, every input is a constant times a
 product of their powers, and the irreducible factors inside one element
-share their multiplicities in every input.  Targets the base cannot decide
-fall back to factoring; those cases, and the shapes the base does decide,
+share their multiplicities in every input.  No target is factored, not
+even one whose rows do not split over the base of the vertex rows, whose
+rows use different parameters, or whose base elements have several order
+solutions; those cases, and the shapes of the benchmark's round trips,
 must give what ``oracle_decompose`` (which factors every row) gives.
 """
 
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import toriparam.decomposition as decomposition
+import toriparam.polynomials as polynomials
 from test_decompose_differential import _outcome, oracle_decompose
 from toriparam.decomposition import decompose_univariate
 from toriparam.errors import NoPreimage, NotUnivariate
@@ -116,21 +119,15 @@ class TestCoprimeBase:
 # -- decomposition over the base ----------------------------------------------
 
 def _count_factoring(monkeypatch):
-    """Calls of ``factor_univariate`` and of the fallback to factoring."""
-    calls = {"factor": 0, "fallback": 0}
-    real_factor = decomposition.factor_univariate
-    real_rows = decomposition._factor_rows
+    """Calls of ``factor_univariate``."""
+    calls = {"factor": 0}
+    real_factor = polynomials.factor_univariate
 
     def factor(poly):
         calls["factor"] += 1
         return real_factor(poly)
 
-    def rows(target):
-        calls["fallback"] += 1
-        return real_rows(target)
-
-    monkeypatch.setattr(decomposition, "factor_univariate", factor)
-    monkeypatch.setattr(decomposition, "_factor_rows", rows)
+    monkeypatch.setattr(polynomials, "factor_univariate", factor)
     return calls
 
 
@@ -150,6 +147,8 @@ def _resolved(verts):
 
 
 class TestFallback:
+    """Targets that factoring every row once had to decide."""
+
     def test_ambiguous_subset_system(self, monkeypatch):
         frame = frame_of(_polygon([(0, 0), (1, 0), (0, 1)]))
         system = subset_monomial_system(frame, [(0, 0), (0, 1)])
@@ -157,7 +156,7 @@ class TestFallback:
         target = compose_system(system, f).raw
         calls = _count_factoring(monkeypatch)
         _same_as_oracle(target, system, frame.fan)
-        assert calls["fallback"] == 1
+        assert calls["factor"] == 0
 
     def test_row_a_base_element_divides_unevenly(self, monkeypatch):
         # every vertex row holds (u+1)(u+2) to one power, so the base has
@@ -172,7 +171,7 @@ class TestFallback:
             [raw[j] for j in first])
         calls = _count_factoring(monkeypatch)
         _same_as_oracle(raw, system, frame.fan)
-        assert calls["fallback"] == 1
+        assert calls["factor"] == 0
 
     def test_mixed_variable_row(self, monkeypatch):
         frame = frame_of(_polygon([(0, 0), (1, 0), (1, 1), (0, 1)]))
@@ -183,8 +182,22 @@ class TestFallback:
         raw[2] = raw[2] * parse("v + 1", 2, "y")
         calls = _count_factoring(monkeypatch)
         got = _same_as_oracle(raw, system, frame.fan)
-        assert calls["fallback"] == 1
+        assert calls["factor"] == 0
         assert got[0] == "MultiParameterUnsupported"
+
+    def test_rows_in_different_parameters(self, monkeypatch):
+        # the vertex subsystem of 2*D2, each vertex row in one parameter
+        frame = frame_of(_polygon([(0, 0), (2, 0), (0, 2)]))
+        system = subset_monomial_system(frame, [(0, 0), (2, 0), (0, 2)])
+        f = ParamTuple.from_text("(u + 1, v + 2, 3)", 2)
+        target = compose_system(system, f).raw
+        calls = _count_factoring(monkeypatch)
+        got = _same_as_oracle(target, system, frame.fan)
+        assert calls["factor"] == 0
+        assert got[0] == "1" and got[2] == ("u + 1", "v + 2", "3")
+
+    def test_decomposition_does_not_factor(self):
+        assert not hasattr(decomposition, "factor_univariate")
 
 
 # Factor degrees of tuple entry i, by i modulo 4, and distinct monic
@@ -228,7 +241,7 @@ class TestNoFactoring:
         target = compose_system(system, f).raw
         calls = _count_factoring(monkeypatch)
         result = decompose_univariate(target, system, frame.fan)
-        assert calls == {"factor": 0, "fallback": 0}
+        assert calls == {"factor": 0}
         assert list(map(normalized, result.f.entries)) == list(
             map(normalized, f.entries))
         assert (_outcome(lambda: result)
@@ -245,7 +258,7 @@ class TestNoFactoring:
         calls = _count_factoring(monkeypatch)
         with pytest.raises(NoPreimage):
             decompose_univariate(target, system, frame_of(singular).fan)
-        assert calls == {"factor": 0, "fallback": 0}
+        assert calls == {"factor": 0}
         assert _outcome(oracle_decompose, target, system,
                         frame_of(singular).fan)[0] == "NoPreimage"
 
@@ -258,5 +271,5 @@ class TestNoFactoring:
         target = compose_system(system, f).raw
         calls = _count_factoring(monkeypatch)
         result = decompose_univariate(target, system, frame.fan)
-        assert calls == {"factor": 0, "fallback": 0}
+        assert calls == {"factor": 0}
         assert result.f == f and result.scalar == 1

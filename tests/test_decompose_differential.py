@@ -1,11 +1,12 @@
 """``decompose_univariate`` against the decomposition that factors every row.
 
 ``decompose_univariate`` splits every row of the reduced target over a
-squarefree, pairwise coprime base of its vertex rows, and factors the
-vertex rows only where the base could change the answer.  The oracle
-below is the former ``_decompose`` body, which gave every row to the
-factorizer; both must return the same result or raise the same error with
-the same message, on compositions and on targets that are not.
+squarefree, pairwise coprime base of its vertex rows in each parameter,
+or of every row when some row does not split over that, and factors
+nothing.  The oracle below is the former ``_decompose`` body, which gave
+every row to the factorizer; both must return the same result or raise
+the same error with the same message, on compositions and on targets
+that are not.
 """
 
 import itertools
@@ -183,7 +184,8 @@ def cases(draw):
         MultiPoly.zero(1) if draw(st.integers(0, 12)) == 0 else _poly(draw)
         for _ in range(frame.ray_count)))
     kind = draw(st.sampled_from(["composition", "content", "random",
-                                 "perturbed", "two parameters"]))
+                                 "perturbed", "two parameters",
+                                 "split parameters"]))
     if kind == "random":
         return system, tuple(_poly(draw) for _ in range(system.size))
     try:
@@ -197,11 +199,21 @@ def cases(draw):
         j = draw(st.integers(0, len(raw) - 1))
         raw[j] = raw[j] * parse(draw(st.sampled_from(FACTORS)), 1, "y")
     elif kind == "two parameters":
-        raw = [MultiPoly(2, {(e[0], 0): c for e, c in h.terms()})
-               for h in raw]
+        raw = [_in_variable(h, 0) for h in raw]
         j = draw(st.integers(0, len(raw) - 1))
         raw[j] = raw[j] * parse("v + 1", 2, "y")
+    elif kind == "split parameters":
+        # some entries use only v; the same zero entries compose again
+        f = ParamTuple(2, tuple(_in_variable(e, draw(st.integers(0, 1)))
+                                for e in f.entries))
+        raw = list(compose_system(system, f).raw)
     return system, tuple(raw)
+
+
+def _in_variable(h, var):
+    """h, a polynomial in u, as one in variable ``var`` of (u, v)."""
+    return MultiPoly(2, {(e[0], 0) if var == 0 else (0, e[0]): c
+                         for e, c in h.terms()})
 
 
 def _outcome(fn, *args):
@@ -225,19 +237,19 @@ class TestAgainstFactorEveryRow:
                 == _outcome(oracle_decompose, target, system, fan))
 
     def test_non_vertex_rows_are_not_factored(self, monkeypatch):
-        import toriparam.decomposition as decomposition
+        import toriparam.polynomials as polynomials
         p = polytope_from_vertices(2, [(0, 0), (3, 0), (0, 3)])
         system = full_monomial_system(frame_of(p))
         f = ParamTuple.from_text("(u + 1, u - 2, u^2 + 1)")
         target = compose_system(system, f).raw
         factored = []
-        real = decomposition.factor_univariate
+        real = polynomials.factor_univariate
 
         def counting(poly):
             factored.append(poly)
             return real(poly)
 
-        monkeypatch.setattr(decomposition, "factor_univariate", counting)
+        monkeypatch.setattr(polynomials, "factor_univariate", counting)
         result = decompose_univariate(target, system, frame_of(p).fan)
         assert factored == []
         assert (_outcome(lambda: result)

@@ -340,10 +340,10 @@ class TestAdversarial:
 
 class TestInvariantsRaise:
     def test_inexact_content_division(self, square, monkeypatch):
-        import toriparam.decomposition as decomposition
+        import toriparam.parametrization as parametrization
         system = full_monomial_system(square)
-        target = compose_system(
-            system, ParamTuple.from_text("(u, 1, 1, u + 1)")).raw_components()
-        monkeypatch.setattr(decomposition, "try_divide", lambda p, d: None)
+        target = compose_system(     # content u
+            system, ParamTuple.from_text("(u, u, 1, 1)")).raw_components()
+        monkeypatch.setattr(parametrization, "try_divide", lambda p, d: None)
         with pytest.raises(InternalError):
             decompose_univariate(target, system, normal_fan(square))

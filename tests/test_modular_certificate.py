@@ -280,7 +280,8 @@ class TestCallSites:
                 return str(exc)
 
         fast = [outcome(t) for t in targets]
-        monkeypatch.setattr(decomposition, "_certify_coprime",
+        # the target's content is taken in parametrization, as compose's
+        monkeypatch.setattr(parametrization, "_certify_coprime",
                             lambda polys: False)
         assert fast == [outcome(t) for t in targets]
 
