@@ -25,8 +25,8 @@ from .parametrization import (ParamSystem, ParamTuple, check_implicit,
                               is_primitive_coprime,
                               is_rational_parametrization,
                               subset_monomial_system)
-from .polynomials import (MultiPoly, parse, parse_tuple, rational_str,
-                          render, render_monomial)
+from .polynomials import (MultiPoly, _parse_entries, parse, parse_tuple,
+                          rational_str, render, render_monomial)
 from .polytope import (LatticePolytope, Frame, frame_of, is_smooth,
                        lattice_points, normal_fan)
 from .resolution import minimal_resolution, resolved_frame, virtual_facets
@@ -88,13 +88,7 @@ def _load_poly_tuple(spec: str, nparams=None) -> tuple[MultiPoly, ...]:
     text = _read_arg(spec)
     stripped = text.lstrip()
     if stripped.startswith("["):
-        entries = json.loads(text)
-        width = nparams
-        if width is None:
-            width = 1
-            for entry in entries:
-                width = max(width, parse(entry, None, "y").nvars)
-        return tuple(parse(entry, width, "y") for entry in entries)
+        return _parse_entries(json.loads(text), nparams, "y")
     return parse_tuple(text, nparams, "y")
 
 

@@ -41,13 +41,12 @@ irreducibles would:
 Verification builds no polynomial.  By the paper's theorem a candidate's
 composition is, component by component, a sum of constants times products
 of tuple entries, so target = content * scalar * composition is one
-identity between integer polynomials per component, decided by packing
-both sides into one integer each (the lemma in ``polynomials``).  Factor
-hints are divided out the same way: packed integer divisions give the
-multiplicities, and a coefficient bound proves the factorization they
-imply.  Inputs whose packed integers would pass ``_PACKED_BITS`` take the
-ring path: the composition expanded in the ring, and hints divided out by
-``try_divide``.
+identity between integer polynomials per component.
+``polynomials._reproduces`` decides it on the system's integer terms,
+packing both sides into one integer each (the lemma in ``polynomials``),
+and factor hints are divided out by ``polynomials._split_by_hints``.
+This module sees neither the packed format nor the ring path that
+either takes when the packed integers would be too long.
 """
 
 from __future__ import annotations
@@ -55,18 +54,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (BudgetExceeded, IncompleteHints, LengthMismatch,
                      MultiParameterUnsupported, NoPreimage,
                      NotMonomialSystem)
 from .linalg import IntMat, _particular, _reduce, solve_integer_linear
-from .polynomials import (Factorization, MultiPoly, _Image, _cleared,
-                          _coprime_base, _int_image, _packed_fits,
-                          _packed_value, _substitute, _substitution_bounds,
-                          factor_over, normalized, try_divide)
-from .parametrization import (ParamSystem, ParamTuple, _raw_components,
-                              _remove_content, is_primitive_coprime)
+from .polynomials import (Factorization, MultiPoly, _coprime_base,
+                          _reproduces, _split_by_hints, factor_over,
+                          normalized)
+from .parametrization import (ParamSystem, ParamTuple, _remove_content,
+                              is_primitive_coprime)
 from .polytope import Fan
 from .subtorus import offset_character, scaling_group, solve_character
 
@@ -109,11 +108,9 @@ def _split_over_base(target: _Target) -> dict[int, Factorization]:
         raise MultiParameterUnsupported(
             "a component mixes parameters after content extraction; "
             "supply factor hints")
-    base = _coprime_bases(rows[:target.vertex_rows])
-    split = [factor_over(h, base) for h in rows]
+    split = factor_over(rows, _coprime_bases(rows[:target.vertex_rows]))
     if None in split:
-        base = _coprime_bases(rows)
-        split = [factor_over(h, base) for h in rows]
+        split = factor_over(rows, _coprime_bases(rows))
     return dict(zip(target.order, split))
 
 
@@ -141,92 +138,10 @@ def decompose_with_hints(h_raw: Sequence[MultiPoly], p_sys: ParamSystem,
         if hint.is_constant():
             raise IncompleteHints("constant hints are meaningless")
         hints.append(normalized(hint))
-    images = [_int_image(hint) for hint in hints]
-
-    def factor_with_hints(poly: MultiPoly) -> Factorization:
-        fac = _packed_factorization(poly, hints, images)
-        if fac is not None:
-            return fac
-        factors = []
-        rest = poly
-        for hint in hints:
-            mult = 0
-            while True:
-                q = try_divide(rest, hint)
-                if q is None:
-                    break
-                rest = q
-                mult += 1
-            if mult:
-                factors.append((hint, mult))
-        if not rest.is_constant():
-            raise IncompleteHints(
-                "hints leave a non-constant cofactor behind")
-        return Factorization(rest.constant_value(), tuple(factors))
-
     target = _reduce_target(h_raw, p_sys)
-    return _search(target, fan, {j: factor_with_hints(target.reduced[j])
-                                 for j in target.order})
-
-
-def _packed_factorization(poly: MultiPoly, hints: Sequence[MultiPoly],
-                          images: Sequence[_Image]
-                          ) -> Optional[Factorization]:
-    """What dividing poly by each hint in turn, as often as it divides,
-    finds, found by dividing packed integers; None when the guard below
-    does not prove it.
-
-    The hints are primitive.  P = den * poly is an integer polynomial of
-    degree at most D in each variable, and B leaves room both for
-    2^(sum of P's degrees) |P|_1, a bound on |c| prod |h|_1^m when P = c
-    prod h^m (Mahler), and for every hint that may divide P.  The integer
-    P(K) is divided by each h(K) while the remainder is zero and P has the
-    degree for one more h; c is what is left.  When |c| prod |h|_1^m +
-    |P|_1 < 2^(B-2), the lemma in ``polynomials`` makes P = c prod h^m an
-    identity.  The division loop then finds the same multiplicities: it
-    divides h out at least m times, and once more only if h divides what
-    is left, c prod (later hints)^m, an integer polynomial, so that
-    (Gauss's lemma) h(K) divides its value, which the integer loop refuted.
-    An integer h(K) may divide where h does not: u + 1 divides v + 1 when
-    the packed v is an odd power of the packed u.  Then the guard fails,
-    and the variables are packed once more in reverse order.
-    """
-    n = poly.nvars
-    if any(hint.nvars != n for hint in hints):
-        return None
-    p = _int_image(poly)
-    D = max(p.degrees)
-    B = sum(p.degrees) + p.norm.bit_length() + 3
-    usable = []
-    for hint, im in zip(hints, images):
-        # a hint of higher degree than poly does not divide it; for the
-        # others |h(K)| >= 2, so the division loops end
-        if all(map(int.__le__, im.degrees, p.degrees)):
-            usable.append((hint, im))
-            B = max(B, (im.norm + 1).bit_length() + 1)
-    if not _packed_fits(B, D, n):
-        return None
-    for step in (1, -1)[:n]:
-        value = _packed_value([(e[::step], c) for e, c in p.terms], B, D)
-        found = []
-        norm = 1
-        room = list(p.degrees)
-        for hint, im in usable:
-            h = _packed_value([(e[::step], c) for e, c in im.terms], B, D)
-            cap = min(r // d for r, d in zip(room, im.degrees) if d)
-            mult = 0
-            while mult < cap:
-                q, r = divmod(value, h)
-                if r:
-                    break
-                value, mult = q, mult + 1
-            if mult:
-                found.append((hint, mult))
-                norm *= im.norm ** mult
-                room = [r - mult * d for r, d in zip(room, im.degrees)]
-        if abs(value) * norm + p.norm < 1 << (B - 2):
-            return Factorization(Fraction(value, p.den), tuple(found))
-    return None
+    rows = [target.reduced[j] for j in target.order]
+    return _search(target, fan,
+                   dict(zip(target.order, _split_by_hints(rows, hints))))
 
 
 class _Target(NamedTuple):
@@ -327,15 +242,14 @@ def _search(target: _Target, fan: Fan,
             # refusing to answer beats a false negative
             raise BudgetExceeded("too many order assignments to verify "
                                  "for this system/target combination")
-        entries: list[MultiPoly] = []
+        entries = [MultiPoly.zero(nparams)] * r
         for pos, i in enumerate(active):
             ent = MultiPoly.one(nparams)
             for fac, orders in zip(factors, combo):
                 if orders[pos]:
                     ent = ent * fac ** orders[pos]
-            entries.append(ent.scale(coeffs[pos]))
-        full = _expand_entries(entries, active, r, nparams)
-        result = _verify(h_raw, content, scalar, full, p_sys, fan, nparams)
+            entries[i] = ent.scale(coeffs[pos])
+        result = _verify(h_raw, content, scalar, entries, p_sys, fan, nparams)
         if result is not None:
             return result
     raise NoPreimage("no primitive-coprime preimage reproduces the target "
@@ -418,33 +332,33 @@ def _fit_scalars(exp_matrix: IntMat, units: Sequence[Fraction]
                  ) -> Optional[tuple[Fraction, list[Fraction]]]:
     """Solve scalar * prod_i c_i^{E_ji} = unit_j multiplicatively over Q.
 
-    Exponent vectors are solved prime by prime (and for the sign, modulo
-    2); the extra all-ones column carries the global scalar.  Every prime
-    solves against one Hermite form of the augmented matrix.
+    Exponent vectors are solved for each element b of a pairwise coprime
+    base of the units' numerators and denominators (and for the sign,
+    modulo 2); the extra all-ones column carries the global scalar.  No b
+    is a perfect power, so its primes' multiplicities k_p have gcd 1.  The
+    right-hand side of a prime p of b is k_p times b's, and the particular
+    solution is linear in it, so p's solution is k_p times b's; and by
+    Bezout b's system is solvable exactly when every p's is.  So the
+    scalars are those of a prime-by-prime solve, and no integer is
+    factored.  Every b solves against one Hermite form of the augmented
+    matrix.
     """
     nrows = exp_matrix.rows
     ncols = exp_matrix.cols
     aug_rows = [[1] + list(exp_matrix.row(j)) for j in range(nrows)]
     reduced = _reduce(IntMat.from_rows(aug_rows))
 
-    import sympy
-
-    primes = set()
-    for u in units:
-        primes.update(sympy.factorint(u.numerator).keys())
-        primes.update(sympy.factorint(u.denominator).keys())
-    primes.discard(-1)
-
     log_c = Fraction(1)
     logs = [Fraction(1)] * ncols
-    for p in sorted(primes):
-        rhs = [_valuation(u, p) for u in units]
+    for b in _coprime_integers([abs(x) for u in units
+                                for x in (u.numerator, u.denominator)]):
+        rhs = [_valuation(u, b) for u in units]
         vec = _particular(*reduced, rhs)
         if vec is None:
             return None
-        log_c *= Fraction(p) ** vec[0]
+        log_c *= Fraction(b) ** vec[0]
         for i in range(ncols):
-            logs[i] *= Fraction(p) ** vec[1 + i]
+            logs[i] *= Fraction(b) ** vec[1 + i]
 
     sign_rows = [row + [2 if t == k else 0 for t in range(nrows)]
                  for k, row in enumerate(aug_rows)]
@@ -460,6 +374,38 @@ def _fit_scalars(exp_matrix: IntMat, units: Sequence[Fraction]
     return log_c, logs
 
 
+def _coprime_integers(numbers: Sequence[int]) -> list[int]:
+    """Pairwise coprime integers above 1, none a perfect power, such that
+    each of the positive ``numbers`` is a product of their powers.
+
+    A number that meets a base element b in g = gcd > 1 replaces b by g
+    and b/g and goes on as itself over g, which lowers the product of all
+    pending numbers.  Then each element r^k, k largest, is replaced by r,
+    which is not a perfect power.
+    """
+    from sympy import integer_nthroot
+
+    base: list[int] = []
+    pending = [x for x in numbers if x > 1]
+    while pending:
+        a = pending.pop()
+        for i, b in enumerate(base):
+            g = gcd(a, b)
+            if g > 1:
+                del base[i]
+                pending += [x for x in (g, a // g, b // g) if x > 1]
+                break
+        else:
+            base.append(a)
+    for j, b in enumerate(base):
+        for k in range(b.bit_length(), 1, -1):
+            r, exact = integer_nthroot(b, k)
+            if exact:
+                base[j] = r
+                break
+    return base
+
+
 def _valuation(x: Fraction, p: int) -> int:
     v = 0
     n = x.numerator
@@ -473,52 +419,6 @@ def _valuation(x: Fraction, p: int) -> int:
     return v
 
 
-def _expand_entries(entries: list[MultiPoly], active: list[int], r: int,
-                    nparams: int) -> list[MultiPoly]:
-    full = [MultiPoly.zero(nparams)] * r
-    for pos, i in enumerate(active):
-        full[i] = entries[pos]
-    return full
-
-
-def _packed_reproduces(h_raw: Sequence[MultiPoly], content: MultiPoly,
-                       scalar: Fraction, tup: ParamTuple, p_sys: ParamSystem
-                       ) -> Optional[bool]:
-    """Whether each target component is content * scalar * its raw
-    composition sum a prod_i f_i^(e_i), decided on packed integers; None
-    when they would pass the packed size cap.
-
-    With the integer images T = d_T target, C = d_C content and F_i of the
-    entries, R = W raw = sum k prod_i F_i^(e_i) is an integer polynomial,
-    and the identity reads T d_C W den(scalar) = C R num(scalar) d_T.  One B
-    and one D cover both sides of every component, so each entry is packed
-    once and each power of it is taken once.
-    """
-    n = tup.nparams
-    images = [_int_image(f) for f in tup.entries]
-    cont = _int_image(content)
-    rows = []
-    bound = D = 0
-    for target, comp in zip(h_raw, p_sys._integer_components):
-        t = _int_image(target)
-        w, terms = _cleared(*comp, images)
-        norm, degrees = _substitution_bounds(terms, images, n)
-        lhs = cont.den * w * scalar.denominator
-        rhs = scalar.numerator * t.den
-        bound = max(bound, t.norm * lhs + cont.norm * norm * abs(rhs))
-        D = max(D, *t.degrees, *map(int.__add__, cont.degrees, degrees))
-        rows.append((t.terms, lhs, terms, rhs))
-    B = bound.bit_length() + 1
-    if not _packed_fits(B, D, n):
-        return None
-    values = [_packed_value(im.terms, B, D) for im in images]
-    c_value = _packed_value(cont.terms, B, D)
-    powers: dict = {}
-    return all(_packed_value(t_terms, B, D) * lhs
-               == c_value * _substitute(terms, values, powers) * rhs
-               for t_terms, lhs, terms, rhs in rows)
-
-
 def _verify(h_raw: Sequence[MultiPoly], content: MultiPoly, scalar: Fraction,
             entries: list[MultiPoly], p_sys: ParamSystem, fan: Fan,
             nparams: int) -> Optional[DecompositionResult]:
@@ -526,12 +426,8 @@ def _verify(h_raw: Sequence[MultiPoly], content: MultiPoly, scalar: Fraction,
     coprime, _ = is_primitive_coprime(tup, fan)
     if not coprime:
         return None
-    same = _packed_reproduces(h_raw, content, scalar, tup, p_sys)
-    if same is None:
-        scaled_content = content.scale(scalar)
-        same = all(raw * scaled_content == target for target, raw
-                   in zip(h_raw, _raw_components(p_sys, tup)))
-    if not same:
+    if not _reproduces(h_raw, content, scalar, p_sys._integer_components,
+                       tup.entries):
         return None
     scalar_out = scalar
     absorbed = scalar == 1

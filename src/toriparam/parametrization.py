@@ -21,6 +21,12 @@ put to the modular certificate ``polynomials._certify_coprime``: the
 coprimality of each primitive collection, ``is_rational_parametrization``
 and the content fold above.  A True from it is a proof.  When it gives up,
 ``gcd_many`` runs as it would without it; it is the exact fallback.
+
+The substitution itself lives in ``polynomials``: a system keeps each
+component's integer terms in facet exponents (``_integer_components``),
+read once per system, and ``compose_system`` expands them with
+``_expand``, while ``check_implicit`` hands the relation's terms to
+``_reproduces``.
 """
 
 from __future__ import annotations
@@ -34,10 +40,8 @@ from typing import Optional, Sequence
 from .errors import (InternalError, LengthMismatch, NonIntegerInput,
                      VariableCountMismatch)
 from .linalg import IntMat, column_lattice_canonical, rank
-from .polynomials import (MultiPoly, _certify_coprime, _cleared,
-                          _int_image, _integer_terms, _packed_fits,
-                          _packed_value, _substitute, _substitution_bounds,
-                          gcd_many, try_divide)
+from .polynomials import (MultiPoly, _certify_coprime, _expand,
+                          _integer_terms, _reproduces, gcd_many, try_divide)
 from .polytope import (Frame, IntVec, LatticePolytope, _int_vec, frame_of,
                        lattice_points, primitive_collections,
                        PrimitiveCollection, Fan)
@@ -157,12 +161,9 @@ class ParamSystem:
 
     def exponent_rows(self) -> list[tuple[int, IntVec]]:
         """(component index, exponent vector) for single-monomial components."""
-        rows = []
-        for j, c in enumerate(self.components):
-            m = c.single_monomial_point()
-            if m is not None:
-                rows.append((j, self.frame.monomial_exponents(m)))
-        return rows
+        return [(j, terms[0][1])
+                for j, (L, terms) in enumerate(self._integer_components)
+                if len(terms) == 1 and terms[0][0] == L]
 
     @cached_property
     def _integer_components(self) -> tuple[tuple[int, list], ...]:
@@ -329,36 +330,6 @@ class Composition:
         return self.raw
 
 
-def _raw_components(p_sys: ParamSystem, f: ParamTuple) -> list[MultiPoly]:
-    """f substituted into every component, in the ring; each power f_i^e
-    is built once and each point monomial once."""
-    frame = p_sys.frame
-    powers: list[dict[int, MultiPoly]] = [{} for _ in f.entries]
-    monomials: dict[IntVec, MultiPoly] = {}
-    one = MultiPoly.one(f.nparams)
-
-    def power_of(m: IntVec) -> MultiPoly:
-        out = monomials.get(m)
-        if out is None:
-            out = one
-            for q, table, e in zip(f.entries, powers,
-                                   frame.monomial_exponents(m)):
-                if e:
-                    if e not in table:
-                        table[e] = q ** e
-                    out = table[e] if out is one else out * table[e]
-            monomials[m] = out
-        return out
-
-    raw = []
-    for comp in p_sys.components:
-        total = MultiPoly.zero(f.nparams)
-        for m, a in comp.coefficients:
-            total = total + power_of(m).scale(a)
-        raw.append(total)
-    return raw
-
-
 def _remove_content(raw: Sequence[MultiPoly], order: Sequence[int],
                     trivial: bool = False
                     ) -> tuple[MultiPoly, list[MultiPoly]]:
@@ -399,7 +370,7 @@ def compose_system(p_sys: ParamSystem, f: ParamTuple) -> Composition:
     if len(f) != frame.ray_count:
         raise LengthMismatch(
             f"tuple has {len(f)} entries, frame has {frame.ray_count} rays")
-    raw = _raw_components(p_sys, f)
+    raw = _expand(p_sys._integer_components, f.entries)
     coprime, _ = is_primitive_coprime(f, frame.fan)
     first, rest, vertices_covered = p_sys._vertex_order()
     content, reduced = _remove_content(raw, first + rest,
@@ -451,33 +422,16 @@ def same_parametrization(a: Sequence[MultiPoly], b: Sequence[MultiPoly]
 def check_implicit(h: Sequence[MultiPoly], relation: MultiPoly) -> bool:
     """Substitute the components into a relation and test for zero.
 
-    With the components' integer images H_j = d_j h_j and a common
-    multiple W of the denominators, W * relation(h) = sum_e k_e prod_j
-    H_j^(e_j) is an integer polynomial, and its value at the packed point
-    of ``polynomials`` is zero exactly when it is (the lemma there).  Only
-    when that value would pass the packed size cap, or the components
-    differ in their variable count, is the relation expanded in the ring.
+    relation(h) is the substitution of ``polynomials``, decided against
+    the target 0 by ``_reproduces``: on packed integers, or in the ring
+    when the components differ in their variable count or the packed
+    values would be too long.
     """
     if relation.nvars != len(h):
         raise VariableCountMismatch(
             f"relation uses {relation.nvars} variables for {len(h)} components")
     if not h:
         return False
-    nparams = h[0].nvars
-    if all(comp.nvars == nparams for comp in h):
-        images = [_int_image(comp) for comp in h]
-        _, terms = _cleared(*_integer_terms(relation.terms()), images)
-        norm, degrees = _substitution_bounds(terms, images, nparams)
-        B, D = norm.bit_length() + 1, max(degrees)
-        if _packed_fits(B, D, nparams):
-            values = [_packed_value(im.terms, B, D) for im in images]
-            return _substitute(terms, values, {}) == 0
-    total = MultiPoly.zero(nparams)
-    for e, c in relation.terms():
-        term = MultiPoly.constant(nparams, c)
-        for comp, k in zip(h, e):
-            if k:
-                term = term * comp ** k
-        total = total + term
-    return total.is_zero()
-
+    n = h[0].nvars
+    return _reproduces([MultiPoly.zero(n)], MultiPoly.one(n), Fraction(1),
+                       [_integer_terms(relation.terms())], h)

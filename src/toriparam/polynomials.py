@@ -37,8 +37,17 @@ nonzero coefficient of the largest k, then |c_t| 2^(B t) >= 2^(B t), while
 the lower terms add up to at most (2^(B-1) - 1)(2^(B t) - 1)/(2^B - 1) <
 2^(B t).  So two polynomials within those bounds are equal exactly when
 their values are (Schoenhage, EUROCAM 1982; Harvey, J. Symbolic Comput. 44,
-2009).  Callers bound coefficients by 1-norms, as |fg|_inf <= |f|_1 |g|_1,
-and take the ring path instead when B (D+1)^n passes ``_PACKED_BITS``.
+2009).  Coefficients are bounded by 1-norms, as |fg|_inf <= |f|_1 |g|_1,
+and the ring path is taken instead when B (D+1)^n passes ``_PACKED_BITS``.
+
+Every use of the paper's substitution h = sum a prod_i f_i^(e_i) goes
+through two functions here, reading the integer terms (L a, e) of
+``_integer_terms``: ``_expand`` builds h in the ring, for
+``compose_system``, and ``_reproduces`` decides target = content * scalar
+* h on packed integers, for ``decomposition._verify`` and, with target 0,
+for ``check_implicit``.  ``_split_by_hints`` divides hint factors out of
+the rows of ``decompose_with_hints`` the same way.  No other module knows
+the packed format.
 """
 
 from __future__ import annotations
@@ -48,8 +57,8 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .errors import (NotUnivariate, ParseError, VariableCountMismatch,
-                     ZeroPolynomial)
+from .errors import (IncompleteHints, NotUnivariate, ParseError,
+                     VariableCountMismatch, ZeroPolynomial)
 
 if TYPE_CHECKING:
     from sympy.polys.rings import PolyElement, PolyRing
@@ -468,39 +477,6 @@ def _integer_terms(terms: Sequence[tuple[Sequence[int], Fraction]]
     return L, [(a.numerator * (L // a.denominator), e) for e, a in terms]
 
 
-def _cleared(L: int, terms: Sequence[tuple[int, Sequence[int]]],
-             images: Sequence[_Image]) -> tuple[int, Sequence]:
-    """W and the terms (k, e) of W sum (k_0 / L) prod_i g_i^(e_i) over the
-    integer terms (k_0, e), written in the images F_i = d_i g_i of the g_i
-    so that it is sum k prod_i F_i^(e_i)."""
-    if all(im.den == 1 for im in images):
-        return L, terms
-    tops = [max(col) for col in zip(*(e for _, e in terms))]
-    return L * prod(im.den ** t for im, t in zip(images, tops)), [
-        (k * prod(im.den ** (t - x) for im, t, x in zip(images, tops, e)), e)
-        for k, e in terms]
-
-
-def _substitution_bounds(terms: Sequence[tuple[int, Sequence[int]]],
-                         images: Sequence[_Image], nvars: int
-                         ) -> tuple[int, list[int]]:
-    """A bound on the 1-norm of sum k prod_i F_i^(e_i) over the terms
-    (k, e), and a bound on its degree in each variable."""
-    norm = 0
-    degrees = [0] * nvars
-    for k, e in terms:
-        b = abs(k)
-        deg = [0] * nvars
-        for im, x in zip(images, e):
-            if x:
-                b *= im.norm ** x
-                for v, d in enumerate(im.degrees):
-                    deg[v] += x * d
-        norm += b
-        degrees = list(map(max, degrees, deg))
-    return norm, degrees
-
-
 def _substitute(terms: Sequence[tuple[int, Sequence[int]]],
                 values: Sequence[int], powers: dict) -> int:
     """sum k prod_i values_i^(e_i) over the terms (k, e); ``powers`` keeps
@@ -515,6 +491,97 @@ def _substitute(terms: Sequence[tuple[int, Sequence[int]]],
                 k *= p
         total += k
     return total
+
+
+def _expand(comps: Sequence[tuple[int, Sequence]],
+            entries: Sequence[MultiPoly]) -> list[MultiPoly]:
+    """Per (L, terms) in ``comps``, sum (k / L) prod_i f_i^(e_i) over the
+    integer terms (k, e), the f_i being the entries, in the ring of the
+    first entry; each power f_i^x and each product of powers is built
+    once.  An entry with another variable count is refused where a term
+    first uses it."""
+    n = entries[0].nvars
+    ring = _ring(n)
+    powers: dict[tuple[int, int], PolyElement] = {}
+    products: dict[tuple, PolyElement] = {}
+    out = []
+    for L, terms in comps:
+        total = ring.zero
+        for k, e in terms:
+            p = products.get(e)
+            if p is None:
+                for i, x in enumerate(e):
+                    if x:
+                        q = powers.get((i, x))
+                        if q is None:
+                            f = entries[i]
+                            if f.nvars != n:
+                                raise VariableCountMismatch(
+                                    f"{n} variables vs {f.nvars}")
+                            q = powers[i, x] = f._p ** x
+                        p = q if p is None else p * q
+                products[e] = p = ring.one if p is None else p
+            total += p if k == L else p.mul_ground(QQ(k, L))
+        out.append(_wrap(n, total))
+    return out
+
+
+def _reproduces(targets: Sequence[MultiPoly], content: MultiPoly,
+                scalar: Fraction, comps: Sequence[tuple[int, Sequence]],
+                entries: Sequence[MultiPoly]) -> bool:
+    """Whether each target is content * scalar * its sum of ``_expand``.
+
+    Take the integer images T = d_T target, C = d_C content and F_i = d_i
+    f_i of the entries, and t_i the largest exponent of f_i in a sum.
+    W = L prod_i d_i^(t_i) turns the sum into the integer polynomial R =
+    sum k prod_i d_i^(t_i - e_i) F_i^(e_i) = sum k' prod_i F_i^(e_i), and
+    the identity reads T d_C W den(scalar) = C R num(scalar) d_T.  |R|_1 is
+    at most sum |k'| prod_i |F_i|_1^(e_i), and R's degrees are at most its
+    terms'.  One B and one D cover both sides of every target, so each
+    entry is packed once and each power of it is taken once.  Entries of
+    different variable counts, and packed values that would pass the size
+    cap, are compared in the ring.
+    """
+    n = entries[0].nvars
+    if all(f.nvars == n for f in entries):
+        images = [_int_image(f) for f in entries]
+        cont = _int_image(content)
+        rows = []
+        bound = D = 0
+        for target, (L, terms) in zip(targets, comps):
+            t = _int_image(target)
+            if any(im.den != 1 for im in images):
+                tops = [max(col) for col in zip(*(e for _, e in terms))]
+                L *= prod(im.den ** x for im, x in zip(images, tops))
+                terms = [(k * prod(im.den ** (x - y) for im, x, y
+                                   in zip(images, tops, e)), e)
+                         for k, e in terms]
+            norm = 0
+            D = max(D, *t.degrees, *cont.degrees)
+            for k, e in terms:
+                degrees = cont.degrees
+                for im, x in zip(images, e):
+                    if x:
+                        k *= im.norm ** x
+                        degrees = [a + x * d
+                                   for a, d in zip(degrees, im.degrees)]
+                norm += abs(k)
+                D = max(D, *degrees)
+            lhs = cont.den * L * scalar.denominator
+            rhs = scalar.numerator * t.den
+            bound = max(bound, t.norm * lhs + cont.norm * norm * abs(rhs))
+            rows.append((t.terms, lhs, terms, rhs))
+        B = bound.bit_length() + 1
+        if _packed_fits(B, D, n):
+            values = [_packed_value(im.terms, B, D) for im in images]
+            c_value = _packed_value(cont.terms, B, D)
+            powers: dict = {}
+            return all(_packed_value(t_terms, B, D) * lhs
+                       == c_value * _substitute(terms, values, powers) * rhs
+                       for t_terms, lhs, terms, rhs in rows)
+    scaled = content.scale(scalar)
+    return all(raw * scaled == target
+               for target, raw in zip(targets, _expand(comps, entries)))
 
 
 class Factorization(NamedTuple):
@@ -663,39 +730,121 @@ def _coprime_base(polys: Sequence[MultiPoly]) -> list[MultiPoly]:
     return out
 
 
-def factor_over(p: MultiPoly, irreducibles: Sequence[MultiPoly]
-                ) -> Optional[Factorization]:
-    """``p`` split over ``irreducibles`` by exact division alone, when p
-    uses at most one variable and is a constant times a product of their
-    powers; None otherwise.
+def factor_over(rows: Sequence[MultiPoly], irreducibles: Sequence[MultiPoly]
+                ) -> list[Optional[Factorization]]:
+    """Each of ``rows`` split over ``irreducibles`` by exact division
+    alone, when the row uses at most one variable and is a constant times
+    a product of their powers; None for it otherwise.
 
     ``irreducibles`` may be any list of monic, pairwise coprime, squarefree
     polynomials, such as the factors of ``factor_univariate`` or the
     elements of ``_coprime_base``; when they include every monic
-    irreducible factor of p, the result is ``factor_univariate(p)``.  The
-    divisions run on primitive integer coefficient lists, and the unit is
-    p's leading coefficient, as every element is monic.
+    irreducible factor of a row, its result is ``factor_univariate`` of
+    it.  The divisions run on primitive integer coefficient lists, each
+    element's read once, and the unit is the row's leading coefficient,
+    as every element is monic.
     """
-    used = p.used_variables()
-    if len(used) > 1 or p.is_zero():
-        return None
-    if not used:
-        return Factorization(p.constant_value(), ())
-    rest = _int_coefficients(p, used[0])
-    found = []
+    elements: dict[tuple[int, ...], list] = {}
     for f in irreducibles:
-        if f.used_variables() != used:
+        if len(used := f.used_variables()) == 1:
+            elements.setdefault(used, []).append(
+                (f, _int_coefficients(f, used[0])))
+    out: list[Optional[Factorization]] = []
+    for p in rows:
+        used = p.used_variables()
+        if len(used) != 1:
+            out.append(None if used or p.is_zero()
+                       else Factorization(p.constant_value(), ()))
             continue
-        g = _int_coefficients(f, used[0])
-        mult = 0
-        while (q := _exact_quotient(rest, g)) is not None:
-            rest, mult = q, mult + 1
-        if mult:
-            found.append((f, mult))
-    if len(rest) > 1:
-        return None
-    found.sort(key=_factor_order)
-    return Factorization(p.leading_coefficient(), tuple(found))
+        rest = _int_coefficients(p, used[0])
+        found = []
+        for f, g in elements.get(used, ()):
+            mult = 0
+            while (q := _exact_quotient(rest, g)) is not None:
+                rest, mult = q, mult + 1
+            if mult:
+                found.append((f, mult))
+        found.sort(key=_factor_order)
+        out.append(None if len(rest) > 1 else
+                   Factorization(p.leading_coefficient(), tuple(found)))
+    return out
+
+
+def _split_by_hints(rows: Sequence[MultiPoly], hints: Sequence[MultiPoly]
+                    ) -> list[Factorization]:
+    """Each row divided by each hint in turn, as often as it divides: the
+    hints that divide, with their multiplicities, and the constant left.
+    IncompleteHints when a row leaves a nonconstant cofactor.
+
+    The hints are primitive.  The division is first done on packed
+    integers.  P = den * row is an integer polynomial of degree at most D
+    in each variable, and B leaves room both for 2^(sum of P's degrees)
+    |P|_1, a bound on |c| prod |h|_1^m when P = c prod h^m (Mahler), and
+    for every hint that may divide P.  The integer P(K) is divided by each
+    h(K) while the remainder is zero and P has the degree for one more h;
+    c is what is left.  When |c| prod |h|_1^m + |P|_1 < 2^(B-2), the lemma
+    in the module docstring makes P = c prod h^m an identity.  Division in
+    the ring finds the same multiplicities: it divides h out at least m
+    times, and once more only if h divides what is left, c prod (later
+    hints)^m, an integer polynomial, so that (Gauss's lemma) h(K) divides
+    its value, which the integer loop refuted.  An integer h(K) may divide
+    where h does not: u + 1 divides v + 1 when the packed v is an odd
+    power of the packed u.  Then the guard fails, and the variables are
+    packed once more in reverse order.  When that fails too, or the packed
+    values would pass the size cap, ``try_divide`` divides in the ring.
+    """
+    images = [_int_image(hint) for hint in hints]
+    out = []
+    for poly in rows:
+        n = poly.nvars
+        p = _int_image(poly)
+        D = max(p.degrees)
+        B = sum(p.degrees) + p.norm.bit_length() + 3
+        usable = []
+        for hint, im in zip(hints, images):
+            # a hint of higher degree than poly does not divide it; for the
+            # others |h(K)| >= 2, so the division loops end
+            if all(map(int.__le__, im.degrees, p.degrees)):
+                usable.append((hint, im))
+                B = max(B, (im.norm + 1).bit_length() + 1)
+        fits = (all(hint.nvars == n for hint in hints)
+                and _packed_fits(B, D, n))
+        for step in (1, -1)[:n] if fits else ():
+            value = _packed_value([(e[::step], c) for e, c in p.terms], B, D)
+            found = []
+            norm = 1
+            room = list(p.degrees)
+            for hint, im in usable:
+                h = _packed_value([(e[::step], c) for e, c in im.terms], B, D)
+                cap = min(r // d for r, d in zip(room, im.degrees) if d)
+                mult = 0
+                while mult < cap:
+                    q, r = divmod(value, h)
+                    if r:
+                        break
+                    value, mult = q, mult + 1
+                if mult:
+                    found.append((hint, mult))
+                    norm *= im.norm ** mult
+                    room = [r - mult * d for r, d in zip(room, im.degrees)]
+            if abs(value) * norm + p.norm < 1 << (B - 2):
+                out.append(Factorization(Fraction(value, p.den),
+                                         tuple(found)))
+                break
+        else:
+            found = []
+            rest = poly
+            for hint in hints:
+                mult = 0
+                while (q := try_divide(rest, hint)) is not None:
+                    rest, mult = q, mult + 1
+                if mult:
+                    found.append((hint, mult))
+            if not rest.is_constant():
+                raise IncompleteHints(
+                    "hints leave a non-constant cofactor behind")
+            out.append(Factorization(rest.constant_value(), tuple(found)))
+    return out
 
 
 # -- text grammar --------------------------------------------------------------
@@ -968,15 +1117,21 @@ def parse_tuple(text: str, nvars: Optional[int] = None,
     stripped = text.strip()
     if stripped.startswith("(") and stripped.endswith(")"):
         stripped = stripped[1:-1]
-    entries = _split_top_level(stripped)
-    if nvars is None:
-        width = 1
-        for entry in entries:
-            q = parse(entry, None, kind)
-            width = max(width, q.nvars)
-    else:
-        width = nvars
-    return tuple(parse(entry, width, kind) for entry in entries)
+    return _parse_entries(_split_top_level(stripped), nvars, kind)
+
+
+def _parse_entries(texts: Sequence[str], nvars: Optional[int], kind: str
+                   ) -> tuple[MultiPoly, ...]:
+    """Each text parsed once, at ``nvars`` or else at its own inferred
+    width, the narrower results then padded into the widest ring."""
+    if nvars is not None:
+        return tuple(parse(text, nvars, kind) for text in texts)
+    polys = [parse(text, None, kind) for text in texts]
+    width = max((p.nvars for p in polys), default=1)
+    ring = _ring(width)
+    return tuple(p if p.nvars == width else _wrap(width, ring.dtype(
+        {e + (0,) * (width - p.nvars): c for e, c in p._p.items()}))
+        for p in polys)
 
 
 def _split_top_level(text: str) -> list[str]:

@@ -76,8 +76,7 @@ class TestCoprimeBase:
     @given(inputs())
     def test_every_input_is_a_unit_times_base_powers(self, polys):
         base = _coprime_base(polys)
-        for p in polys:
-            fac = factor_over(p, base)
+        for p, fac in zip(polys, factor_over(polys, base), strict=True):
             assert fac is not None
             assert fac.unit == p.leading_coefficient()
             assert fac.expand(p.nvars) == p

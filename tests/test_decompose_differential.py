@@ -15,8 +15,8 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from toriparam.decomposition import (_CANDIDATE_CAP, DecompositionResult,
-                                     _cone_solutions, _expand_entries,
-                                     _fit_scalars, _multiplicity, _verify,
+                                     _cone_solutions, _fit_scalars,
+                                     _multiplicity, _verify,
                                      decompose_univariate)
 from toriparam.errors import (BudgetExceeded, InternalError, LengthMismatch,
                               MultiParameterUnsupported, NoPreimage,
@@ -122,14 +122,13 @@ def oracle_decompose(h_raw, p_sys, fan, factorizer=oracle_factorizer):
         if tried > _CANDIDATE_CAP:
             raise BudgetExceeded("too many order assignments to verify "
                                  "for this system/target combination")
-        entries = []
+        full = [MultiPoly.zero(nparams)] * r
         for pos, i in enumerate(active):
             ent = MultiPoly.one(nparams)
             for fac, orders in zip(irreducibles, combo):
                 if orders[pos]:
                     ent = ent * fac ** orders[pos]
-            entries.append(ent.scale(coeffs[pos]))
-        full = _expand_entries(entries, active, r, nparams)
+            full[i] = ent.scale(coeffs[pos])
         result = _verify(h_raw, content, scalar, full, p_sys, fan, nparams)
         if result is not None:
             return result
@@ -282,7 +281,7 @@ class TestFactorOver:
     def test_matches_factor_univariate_or_refuses(self, case):
         p, irreducibles = case
         expected = factor_univariate(p)
-        got = factor_over(p, irreducibles)
+        (got,) = factor_over([p], irreducibles)
         if all(q in irreducibles for q, _ in expected.factors):
             assert got == expected
         else:
@@ -291,12 +290,13 @@ class TestFactorOver:
     def test_two_variables_are_refused(self):
         u1 = parse("u + 1", 2, "y")
         v1 = parse("v + 1", 2, "y")
-        assert factor_over(u1 * v1, [u1, v1]) is None
-        assert factor_over(v1 ** 2, [u1]) is None
-        assert factor_over(v1 ** 2, [v1]) == factor_univariate(v1 ** 2)
+        assert factor_over([u1 * v1], [u1, v1]) == [None]
+        assert factor_over([v1 ** 2], [u1]) == [None]
+        assert factor_over([v1 ** 2, u1 * v1], [v1]) == \
+            [factor_univariate(v1 ** 2), None]
 
     def test_zero_and_constants(self):
         u1 = parse("u + 1", 1, "y")
-        assert factor_over(MultiPoly.zero(1), [u1]) is None
-        assert factor_over(MultiPoly.constant(1, -3), [u1]) == \
-            factor_univariate(MultiPoly.constant(1, -3))
+        assert factor_over([MultiPoly.zero(1), MultiPoly.constant(1, -3)],
+                           [u1]) == \
+            [None, factor_univariate(MultiPoly.constant(1, -3))]

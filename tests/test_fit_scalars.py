@@ -1,12 +1,16 @@
-"""``_fit_scalars`` solves every prime against one Hermite form.
+"""``_fit_scalars`` solves against one Hermite form, without factoring.
 
-The oracle is the former body, which called ``solve_integer_linear`` once
-per prime on the same augmented matrix.  The transform is the same, so
-the particular solutions, and with them the scalars, must be identical.
+The oracle is an earlier body, which factored every numerator and
+denominator and called ``solve_integer_linear`` once per prime on the same
+augmented matrix.  ``_fit_scalars`` solves once per element of a coprime
+base of those integers instead; the particular solutions are linear in
+the right-hand side, so the scalars must be identical.
 """
 
 from fractions import Fraction
+from unittest import mock
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
@@ -83,3 +87,54 @@ class TestOneHermiteForm:
         solved = solve_integer_linear(matrix, rhs)
         assert _particular(*_reduce(matrix), rhs) == \
             (None if solved is None else solved[0])
+
+
+FACTORINT = sympy.factorint
+
+
+class TestNoFactoring:
+    """Units (P, 1, P), with P a product of two 22-digit primes, took
+    seconds when every unit was factored."""
+
+    P1 = sympy.nextprime(10 ** 21 + 7 * 10 ** 12)
+    P2 = sympy.nextprime(3 * 10 ** 21 + 11)
+
+    def known_factorint(self, n):
+        """``sympy.factorint`` for products of P1, P2 and small primes."""
+        out = {}
+        for p in (self.P1, self.P2):
+            while n % p == 0:
+                n //= p
+                out[p] = out.get(p, 0) + 1
+        out.update(FACTORINT(n))
+        return out
+
+    @pytest.mark.parametrize("rows, units", [
+        ([[1, 0], [0, 1], [1, 0]], [1, Fraction(1), 1]),
+        ([[1, 0], [0, 1], [1, 0]], [1, Fraction(2, 9), -1]),
+        ([[2, 1], [0, 2], [1, 3]], [4, 1, 2]),
+        ([[2, 0], [0, 2], [2, 2]], [1, 1, 1]),
+        ([[1, 1], [2, 0], [0, 1]], [Fraction(1, 2), 6, 1]),
+    ])
+    def test_semiprime_units(self, rows, units):
+        P = self.P1 * self.P2
+        units = [Fraction(u) * P ** k for u, k in zip(units, (1, 0, 1))]
+        matrix = IntMat.from_rows(rows)
+        with mock.patch.object(sympy, "factorint", self.known_factorint):
+            want = oracle_fit_scalars(matrix, units)
+        with mock.patch.object(sympy, "factorint",
+                               side_effect=AssertionError("factored")):
+            assert _fit_scalars(matrix, units) == want
+
+    def test_perfect_powers_share_their_root(self):
+        """P^2 and P^3 make the base element P, whose system is solvable
+        although the one of P^2 alone is not."""
+        P = self.P1 * self.P2
+        matrix = IntMat.from_rows([[2], [3]])
+        units = [Fraction(P ** 2), Fraction(P ** 3)]
+        with mock.patch.object(sympy, "factorint", self.known_factorint):
+            want = oracle_fit_scalars(matrix, units)
+        assert want is not None
+        with mock.patch.object(sympy, "factorint",
+                               side_effect=AssertionError("factored")):
+            assert _fit_scalars(matrix, units) == want

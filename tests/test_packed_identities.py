@@ -1,14 +1,18 @@
 """Identities decided on packed integers, against the ring arithmetic they
 replace.
 
-``decomposition._verify`` decides target = content * scalar * composition
-by one packed integer per component, ``decompose_with_hints`` finds hint
-multiplicities by integer division, and ``check_implicit`` tests
-relation(h) = 0 the same way (the lemma is in the ``polynomials``
-docstring).  The oracles below are the ring computations these replaced:
-compose-and-compare, the greedy ``try_divide`` loop and the expanded
-relation.  Each case is also run with the packed size cap at 0, which
-sends every caller down the ring path, and must come out the same.
+``polynomials._reproduces`` decides target = content * scalar *
+composition by one packed integer per component, for
+``decomposition._verify`` and for ``check_implicit`` (relation(h) = 0);
+``polynomials._split_by_hints`` finds the hint multiplicities of
+``decompose_with_hints`` by integer division (the lemma is in the
+``polynomials`` docstring), and ``polynomials._expand`` is the ring
+expansion that compose and the ring paths share.  The oracles below are
+the ring computations these replaced: compose-and-compare, the greedy
+``try_divide`` loop, the expanded relation, and ``tests/oracles.py``'s
+``raw_components`` and ``packed_reproduces``.  Each case is also run with
+the packed size cap at 0, which sends every caller down the ring path, and
+must come out the same.
 """
 
 import sys
@@ -23,15 +27,17 @@ from hypothesis import given, settings, strategies as st
 import toriparam.decomposition as decomposition
 import toriparam.parametrization as parametrization
 import toriparam.polynomials as polynomials
-from toriparam.decomposition import (_packed_factorization,
-                                     _packed_reproduces, decompose_univariate,
-                                     decompose_with_hints)
-from toriparam.errors import IncompleteHints, ToriparamError
+from oracles import packed_reproduces, raw_components
+from toriparam.decomposition import decompose_univariate, decompose_with_hints
+from toriparam.errors import (IncompleteHints, ToriparamError,
+                              VariableCountMismatch)
 from toriparam.parametrization import (LatticePolynomial, ParamSystem,
                                        ParamTuple, check_implicit,
-                                       compose_system, full_monomial_system)
-from toriparam.polynomials import (Factorization, MultiPoly, _int_image,
-                                   _packed_value, normalized, try_divide)
+                                       compose_system, full_monomial_system,
+                                       subset_monomial_system)
+from toriparam.polynomials import (Factorization, MultiPoly, _expand,
+                                   _int_image, _packed_value, _reproduces,
+                                   _split_by_hints, normalized, try_divide)
 from toriparam.polytope import frame_of, lattice_points, polytope_from_vertices
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -148,6 +154,16 @@ def ring_relation(h, relation):
     return total.is_zero()
 
 
+def reproduces(h_raw, content, scalar, tup, p_sys):
+    return _reproduces(h_raw, content, scalar, p_sys._integer_components,
+                       tup.entries)
+
+
+def split_one(poly, hints):
+    (fac,) = _split_by_hints([poly], hints)
+    return fac
+
+
 def outcome(fn, *args):
     try:
         return "ok", fn(*args)
@@ -204,9 +220,9 @@ def test_verdict_matches_compose_and_compare(p_sys, n, data):
         j = data.draw(st.integers(0, p_sys.size - 1))
         target[j] = perturbed(data.draw, target[j])
     want = compose_and_compare(target, content, scalar, tup, p_sys)
-    assert _packed_reproduces(target, content, scalar, tup, p_sys) is want
+    assert reproduces(target, content, scalar, tup, p_sys) is want
     with ring_path():
-        assert _packed_reproduces(target, content, scalar, tup, p_sys) is None
+        assert reproduces(target, content, scalar, tup, p_sys) is want
 
 
 def test_verdict_at_large_coefficients():
@@ -220,11 +236,11 @@ def test_verdict_at_large_coefficients():
     content, scalar = MultiPoly.one(1), Fraction(big, 3)
     raw = compose_system(p_sys, tup).raw_components()
     target = [h.scale(scalar) for h in raw]
-    assert _packed_reproduces(target, content, scalar, tup, p_sys)
+    assert reproduces(target, content, scalar, tup, p_sys)
     for j in range(len(target)):
         bad = list(target)
         bad[j] = bad[j] + MultiPoly.constant(1, Fraction(1, 3))
-        assert not _packed_reproduces(bad, content, scalar, tup, p_sys)
+        assert not reproduces(bad, content, scalar, tup, p_sys)
 
 
 def test_verdict_bits_are_not_short():
@@ -239,7 +255,7 @@ def test_verdict_bits_are_not_short():
         for j in range(12):
             bad = [raw[0] + MultiPoly(1, {(0,): 2 ** b, (1,): -2 ** j})]
             bad += raw[1:]
-            assert not _packed_reproduces(bad, one, Fraction(1), tup, p_sys)
+            assert not reproduces(bad, one, Fraction(1), tup, p_sys)
             h = [polynomials.parse("u", 1, "y"), one]
             relation = MultiPoly(2, {(0, 1): 2 ** b, (1, 0): -2 ** j})
             assert not check_implicit(h, relation)
@@ -266,6 +282,51 @@ def test_decompose_unchanged_on_the_ring_path(p_sys, data):
     with ring_path():
         ring = outcome(decompose_univariate, target, p_sys, fan)
     assert packed == ring
+
+
+# -- the substitution engine ----------------------------------------------------
+
+# the full, subset and ``components`` systems above, and a subset system
+# whose points miss a vertex and repeat one
+ENGINE_SYSTEMS = SYSTEMS + [subset_monomial_system(
+    FRAMES["pentagon"], [(0, 0), (1, 1), (0, 0), (-1, 0), (1, -1)])]
+
+
+@st.composite
+def substitutions(draw):
+    p_sys = draw(st.sampled_from(ENGINE_SYSTEMS))
+    n = draw(st.integers(1, 3))
+    r = p_sys.frame.ray_count
+    return p_sys, ParamTuple(n, tuple(draw(polys(n)) for _ in range(r)))
+
+
+@given(substitutions())
+@SETTINGS
+def test_expand_matches_raw_components(case):
+    p_sys, tup = case
+    got = _expand(p_sys._integer_components, tup.entries)
+    assert got == raw_components(p_sys, tup)
+    assert all(h.nvars == tup.nparams for h in got)
+
+
+@given(substitutions(), st.data())
+@SETTINGS
+def test_reproduces_matches_the_oracle(case, data):
+    """Verdicts on compositions times a content and a scalar, with and
+    without one coefficient perturbed, packed and in the ring."""
+    p_sys, tup = case
+    n = tup.nparams
+    content = data.draw(polys(n, max_terms=2, max_degree=1, zero=False))
+    scalar = data.draw(COEFFS.map(Fraction))
+    target = [h * content.scale(scalar) for h in raw_components(p_sys, tup)]
+    if data.draw(st.booleans()):
+        j = data.draw(st.integers(0, p_sys.size - 1))
+        target[j] = perturbed(data.draw, target[j])
+    want = packed_reproduces(target, content, scalar, tup, p_sys)
+    assert reproduces(target, content, scalar, tup, p_sys) is want
+    with ring_path():
+        assert packed_reproduces(target, content, scalar, tup, p_sys) is want
+        assert reproduces(target, content, scalar, tup, p_sys) is want
 
 
 # -- hint multiplicities -------------------------------------------------------
@@ -307,9 +368,9 @@ def test_hint_factorization_matches_the_division_loop(n, data):
     elif kind == "shuffled":
         hints = data.draw(st.permutations(hints))
     want = outcome(division_loop, poly, hints)
-    got = _packed_factorization(poly, hints, [_int_image(h) for h in hints])
-    if got is not None:
-        assert ("ok", got) == want
+    assert outcome(split_one, poly, hints) == want
+    with ring_path():
+        assert outcome(split_one, poly, hints) == want
     p_sys = data.draw(st.sampled_from(SYSTEMS))
     fan = p_sys.frame.fan
     entries = []
@@ -329,20 +390,31 @@ def test_hint_factorization_matches_the_division_loop(n, data):
     assert packed == ring
 
 
-def test_incomplete_hints_raise_from_the_loop():
+def test_incomplete_hints_raise_from_the_loop(monkeypatch):
+    """The packed guard proves nothing for an incomplete hint list, so the
+    ring division runs and raises."""
     poly = polynomials.parse("(u + 1)^2*(u + 2)", 1, "y")
     hints = [polynomials.parse("u + 1", 1, "y")]
-    assert _packed_factorization(poly, hints,
-                                 [_int_image(h) for h in hints]) is None
+    divisors = []
+
+    def recording(p, d):
+        divisors.append(d)
+        return try_divide(p, d)
+
+    monkeypatch.setattr(polynomials, "try_divide", recording)
+    with pytest.raises(IncompleteHints):
+        _split_by_hints([poly], hints)
+    assert divisors == hints * 3
     with pytest.raises(IncompleteHints):
         division_loop(poly, hints)
 
 
-def test_cyclotomic_coincidence_is_refused():
+def test_cyclotomic_coincidence_is_refused(monkeypatch):
     """u + 1 divides v + 1 at the packed point whenever the packed v is an
     odd power of the packed u (here D + 1 = 5).  The guard refuses what the
     first packing finds, and the second packing, with the variables in
-    reverse order, finds the division loop's answer."""
+    reverse order, finds the division loop's answer without a ring
+    division."""
     B, D = 16, 4
     pack = [((1, 0), 1), ((0, 0), 1)], [((0, 1), 1), ((0, 0), 1)]
     u1, v1 = (_packed_value(terms, B, D) for terms in pack)
@@ -350,8 +422,10 @@ def test_cyclotomic_coincidence_is_refused():
     poly = polynomials.parse("(v + 1)^2*(u + v + 1)^2", 2, "y")
     hints = [polynomials.parse(t, 2, "y")
              for t in ("u + 1", "v + 1", "u + v + 1")]
-    got = _packed_factorization(poly, hints, [_int_image(h) for h in hints])
-    assert got == division_loop(poly, hints)
+    want = division_loop(poly, hints)
+    monkeypatch.setattr(polynomials, "try_divide", None)
+    (got,) = _split_by_hints([poly], hints)
+    assert got == want
     assert [m for _, m in got.factors] == [2, 2]
 
 
@@ -393,6 +467,19 @@ def test_check_implicit_known_relations():
     assert check_implicit(h, parse("x4^2 - 1/9*x1 - 2/3*x2 - x3", 4, "x"))
     assert not check_implicit(h, parse("x4^2 - 1/9*x1 - 2/3*x2 - x3 + x1*x4",
                                        4, "x"))
+
+
+def test_check_implicit_mixed_variable_counts():
+    """Components of different variable counts go to the ring, which
+    answers where no term mixes them and refuses where one does."""
+    parse = polynomials.parse
+    h = [parse("u", 1, "y"), parse("u*v", 2, "y")]
+    for text in ("x1^2 - x1", "x1 - x1", "3*x1*x2 - 1", "x2^2 + x1"):
+        relation = parse(text, 2, "x")
+        want = outcome(ring_relation, h, relation)
+        assert outcome(check_implicit, h, relation) == want
+    assert outcome(check_implicit, h, parse("x2", 2, "x")) == (
+        VariableCountMismatch.__name__, "1 variables vs 2")
 
 
 # -- what the benchmark workloads no longer do ----------------------------------
@@ -445,8 +532,8 @@ def test_verify_composes_nothing_on_the_benchmark_frames(name, tmp_path,
     monkeypatch.setattr(decomposition, "_verify", spying_verify)
     monkeypatch.setattr(parametrization, "compose_system",
                         counting(parametrization.compose_system, "compose"))
-    monkeypatch.setattr(decomposition, "_raw_components",
-                        counting(decomposition._raw_components, "ring"))
+    monkeypatch.setattr(polynomials, "_expand",
+                        counting(polynomials._expand, "ring"))
     assert _run_ops(workload) == 3 * len(workload.GRID)
     assert seen == []
     assert any(verified)
@@ -464,6 +551,7 @@ def test_complete_hints_divide_nothing(tmp_path, monkeypatch):
         divisors.append(d)
         return try_divide(p, d)
 
-    monkeypatch.setattr(decomposition, "try_divide", recording)
+    monkeypatch.setattr(polynomials, "try_divide", recording)
+    monkeypatch.setattr(parametrization, "try_divide", recording)
     _run_ops(workload)
     assert divisors == []

@@ -219,6 +219,29 @@ class TestGrammar:
         assert len(tup) == 5
         assert all(p.nvars == 2 for p in tup)
 
+    def test_tuple_entries_parse_once(self, monkeypatch):
+        """An inferred width parses each entry once and pads the narrower
+        ones: the same tuple as parsing every entry at the widest width,
+        in ``parse_tuple`` and in the CLI's JSON list."""
+        import toriparam.polynomials as polynomials
+        from toriparam import cli
+        texts = ["u^2 + u", "u*v^2 - 1/2", "3"]
+        want = tuple(parse(t, 2, "y") for t in texts)
+        calls = []
+
+        def counting(text, nvars=None, kind=None):
+            calls.append(text.strip())
+            return parse(text, nvars, kind)
+
+        monkeypatch.setattr(polynomials, "parse", counting)
+        monkeypatch.setattr(cli, "parse", counting)
+        assert parse_tuple("(" + ", ".join(texts) + ")") == want
+        assert calls == texts
+        calls.clear()
+        assert cli._load_poly_tuple(
+            "[" + ", ".join(f'"{t}"' for t in texts) + "]") == want
+        assert calls == texts
+
     def test_roundtrip_randomized(self):
         rng = random.Random(5150)
         for _ in range(120):
