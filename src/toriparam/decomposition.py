@@ -12,15 +12,18 @@ assumed for rays zero on every nonzero row.  The first order combination
 passing exact verification wins; exhaustion means the target does not
 factor through the system over the rationals.
 
-A univariate target is not factored.  The vertex components of a
-composition hold every irreducible factor (see ``parametrization``), so
-every row is split by exact division over a squarefree, pairwise coprime
+No target is factored.  ``polynomials._split`` writes every row as a
+unit times powers of a list of elements, and the search reads each
+element's multiplicities from it; the factors are the elements that
+divide some row, in order of first appearance.  With factor hints the
+elements are the hints.  Otherwise they are a squarefree, pairwise coprime
 base of the vertex rows (``polynomials._coprime_base``), one base per
-parameter, so that rows which each use one parameter decompose too.  When
-some row does not split, the base is built from every row, and every row
-splits.  On a single-monomial system, the only kind this path accepts,
-the search over the base elements answers as the search over the
-irreducibles would:
+parameter, so that rows which each use one parameter decompose too: the
+vertex components of a composition hold every irreducible factor (see
+``parametrization``).  When some row does not split, the base is built
+from every row, and every row splits.  On a single-monomial system, the
+only kind ``decompose_univariate`` accepts, the search over the base
+elements answers as the search over the irreducibles would:
 
 - every choice of per-factor orders x with E.x = mu composes to the
   target once content and fitted scalars are applied, so verification
@@ -34,19 +37,19 @@ irreducibles would:
 - the cone walks of an element and of its irreducibles are identical, so
   when the elements come in the order of their first irreducibles the
   node cap falls on the same factor, and the base search tries no more
-  combinations before ``_CANDIDATE_CAP``.  The factors are ordered by
-  their terms, and a product of irreducibles may sort elsewhere; only the
-  budgets can then tell the two searches apart.
+  combinations before ``_CANDIDATE_CAP``.  The base is ordered by its
+  elements' terms, and a product of irreducibles may sort elsewhere; only
+  the budgets can then tell the two searches apart.
 
 Verification builds no polynomial.  By the paper's theorem a candidate's
 composition is, component by component, a sum of constants times products
 of tuple entries, so target = content * scalar * composition is one
 identity between integer polynomials per component.
 ``polynomials._reproduces`` decides it on the system's integer terms,
-packing both sides into one integer each (the lemma in ``polynomials``),
-and factor hints are divided out by ``polynomials._split_by_hints``.
+packing both sides into one integer each (the lemma in ``polynomials``).
 This module sees neither the packed format nor the ring path that
-either takes when the packed integers would be too long.
+``_reproduces`` and ``_split`` take when the packed integers would be too
+long.
 """
 
 from __future__ import annotations
@@ -61,8 +64,7 @@ from .errors import (BudgetExceeded, IncompleteHints, LengthMismatch,
                      MultiParameterUnsupported, NoPreimage,
                      NotMonomialSystem)
 from .linalg import IntMat, _particular, _reduce, solve_integer_linear
-from .polynomials import (Factorization, MultiPoly, _coprime_base,
-                          _reproduces, _split_by_hints, factor_over,
+from .polynomials import (MultiPoly, _coprime_base, _reproduces, _split,
                           normalized)
 from .parametrization import (ParamSystem, ParamTuple, _remove_content,
                               is_primitive_coprime)
@@ -97,21 +99,17 @@ def decompose_univariate(h_raw: Sequence[MultiPoly], p_sys: ParamSystem,
         raise NotMonomialSystem(
             "this entry point requires single-monomial components")
     target = _reduce_target(h_raw, p_sys)
-    return _search(target, fan, _split_over_base(target))
-
-
-def _split_over_base(target: _Target) -> dict[int, Factorization]:
-    """Every row split over a coprime base of the vertex rows, or of every
-    row when some row does not split over that."""
-    rows = [target.reduced[j] for j in target.order]
+    rows = [target.reduced[j] for j, _ in target.rows]
     if any(len(h.used_variables()) > 1 for h in rows):
         raise MultiParameterUnsupported(
             "a component mixes parameters after content extraction; "
             "supply factor hints")
-    split = factor_over(rows, _coprime_bases(rows[:target.vertex_rows]))
+    base = _coprime_bases([target.reduced[j] for j in target.vertex])
+    split = _split(rows, base)
     if None in split:
-        split = factor_over(rows, _coprime_bases(rows))
-    return dict(zip(target.order, split))
+        base = _coprime_bases(rows)
+        split = _split(rows, base)
+    return _search(target, fan, base, split)
 
 
 def _coprime_bases(rows: Sequence[MultiPoly]) -> list[MultiPoly]:
@@ -139,9 +137,10 @@ def decompose_with_hints(h_raw: Sequence[MultiPoly], p_sys: ParamSystem,
             raise IncompleteHints("constant hints are meaningless")
         hints.append(normalized(hint))
     target = _reduce_target(h_raw, p_sys)
-    rows = [target.reduced[j] for j in target.order]
-    return _search(target, fan,
-                   dict(zip(target.order, _split_by_hints(rows, hints))))
+    split = _split([target.reduced[j] for j, _ in target.rows], hints)
+    if None in split:
+        raise IncompleteHints("hints leave a non-constant cofactor behind")
+    return _search(target, fan, hints, split)
 
 
 class _Target(NamedTuple):
@@ -151,8 +150,7 @@ class _Target(NamedTuple):
     content: MultiPoly
     reduced: list[MultiPoly]
     rows: list[tuple[int, tuple[int, ...]]]  # nonzero single-monomial rows
-    order: list[int]       # their indices, vertex rows first
-    vertex_rows: int       # how many of ``order`` are vertex rows
+    vertex: list[int]      # the indices of those at cone vertices
     active: list[int]      # rays not forced to zero
     p_sys: ParamSystem
 
@@ -190,31 +188,29 @@ def _reduce_target(h_raw: Sequence[MultiPoly], p_sys: ParamSystem
     active = [i for i in range(r) if i not in zero_entries]
 
     nonzero = {j for j, _ in nonzero_rows}
-    vertex = [j for j in first if j in nonzero]
-    order = vertex + [j for j in rest if j in nonzero]
-    return _Target(h_raw, content, reduced, nonzero_rows, order, len(vertex),
-                   active, p_sys)
+    return _Target(h_raw, content, reduced, nonzero_rows,
+                   [j for j in first if j in nonzero], active, p_sys)
 
 
-def _search(target: _Target, fan: Fan,
-            factorizations: dict[int, Factorization]) -> DecompositionResult:
+def _search(target: _Target, fan: Fan, elements: Sequence[MultiPoly],
+            split: Sequence[tuple[Fraction, list[int]]]
+            ) -> DecompositionResult:
     """The first order combination that verifies, given every row's
-    factorization; NoPreimage when none does."""
+    ``polynomials._split`` over the elements; NoPreimage when none does.
+    The factors are the elements that divide some row, in order of first
+    appearance."""
     h_raw, content, p_sys = target.h_raw, target.content, target.p_sys
     nonzero_rows, active = target.rows, target.active
     nparams = h_raw[0].nvars
     r = p_sys.frame.ray_count
-    factors: list[MultiPoly] = []
-    for j, _ in nonzero_rows:
-        for fac, _mult in factorizations[j].factors:
-            if fac not in factors:
-                factors.append(fac)
+    dividing = list(dict.fromkeys(i for _, mults in split
+                                  for i, m in enumerate(mults) if m))
+    factors = [elements[i] for i in dividing]
 
     if nonzero_rows:
         exp_matrix = IntMat.from_rows([[e[i] for i in active]
                                        for _, e in nonzero_rows])
-        units = [factorizations[j].unit for j, _ in nonzero_rows]
-        fit = _fit_scalars(exp_matrix, units)
+        fit = _fit_scalars(exp_matrix, [unit for unit, _ in split])
         if fit is None:
             raise NoPreimage("the component scalars do not factor through "
                              "the system over the rationals")
@@ -224,9 +220,8 @@ def _search(target: _Target, fan: Fan,
         scalar, coeffs = Fraction(1), [Fraction(1)] * len(active)
 
     per_factor_candidates: list[list[tuple[int, ...]]] = []
-    for fac in factors:
-        mults = [_multiplicity(factorizations[j], fac)
-                 for j, _ in nonzero_rows]
+    for i in dividing:
+        mults = [row[i] for _, row in split]
         candidates = _cone_solutions(exp_matrix, mults, fan, active)
         if not candidates:
             raise NoPreimage(
@@ -254,13 +249,6 @@ def _search(target: _Target, fan: Fan,
             return result
     raise NoPreimage("no primitive-coprime preimage reproduces the target "
                      "exactly over the rationals")
-
-
-def _multiplicity(fac: Factorization, poly: MultiPoly) -> int:
-    for f, mult in fac.factors:
-        if f == poly:
-            return mult
-    return 0
 
 
 def _cone_solutions(exp_matrix: IntMat, rhs: Sequence[int], fan: Fan,

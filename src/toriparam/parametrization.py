@@ -47,10 +47,6 @@ from .polytope import (Frame, IntVec, LatticePolytope, _int_vec, frame_of,
                        PrimitiveCollection, Fan)
 
 
-def _as_frame(p: LatticePolytope | Frame) -> Frame:
-    return p if isinstance(p, Frame) else frame_of(p)
-
-
 def _coefficient(a) -> Fraction:
     """An int, a Fraction, or an integer or "p/q" string, as a Fraction;
     floats, bools, other types and zero denominators are refused."""
@@ -245,7 +241,7 @@ class RationalParametrization:
 
 def full_monomial_system(p: LatticePolytope | Frame) -> ParamSystem:
     """One single-monomial component per lattice point, in point order."""
-    frame = _as_frame(p)
+    frame = frame_of(p)
     comps = tuple(LatticePolynomial.single(frame, m)
                   for m in lattice_points(frame.polytope))
     return ParamSystem(frame, comps)
@@ -261,7 +257,7 @@ def subset_monomial_system(p: LatticePolytope | Frame,
     system, not errors; deliberately violating them is how the negative
     examples are built.
     """
-    frame = _as_frame(p)
+    frame = frame_of(p)
     pts = [_int_vec(m) for m in points]
     comps = tuple(LatticePolynomial.single(frame, m) for m in pts)
     warnings = []

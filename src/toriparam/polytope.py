@@ -598,6 +598,10 @@ class Frame:
         return exps
 
 
-def frame_of(p: LatticePolytope) -> Frame:
+def frame_of(p: LatticePolytope | Frame) -> Frame:
+    """The polytope with its normal fan and facet offsets; a Frame is
+    returned unchanged."""
+    if isinstance(p, Frame):
+        return p
     return Frame(p, normal_fan(p), p.offsets())
 

@@ -126,7 +126,7 @@ def offset_character(p: LatticePolytope | Frame,
                      g: SubtorusDescription) -> Character:
     """The character of g given by the facet offsets (resolved frames use
     their per-ray offsets)."""
-    frame = p if isinstance(p, Frame) else frame_of(p)
+    frame = frame_of(p)
     return character_from_offsets(g, frame.offsets)
 
 

@@ -7,20 +7,25 @@ which ``polynomials._expand`` replaced, and ``packed_reproduces`` is the
 identity check of ``decomposition._verify`` (its packed integers, and the
 ring comparison it fell back to), which ``polynomials._reproduces``
 replaced, with the helpers ``cleared`` and ``substitution_bounds`` that
-it used.  Tests compare the library against them.
+it used.  ``factor_over`` and ``split_by_hints`` are the row splitters of
+``decompose_univariate`` and ``decompose_with_hints``, which
+``polynomials._split`` replaced.  Tests compare the library against them.
 """
 
+from fractions import Fraction
 from math import prod
 
-from toriparam.errors import LengthMismatch
-from toriparam.polynomials import (MultiPoly, _int_image, _packed_fits,
-                                   _packed_value, _substitute)
-from toriparam.polytope import Frame, frame_of
+from toriparam.errors import IncompleteHints, LengthMismatch
+from toriparam.polynomials import (Factorization, MultiPoly, _exact_quotient,
+                                   _factor_order, _int_coefficients,
+                                   _int_image, _packed_fits, _packed_value,
+                                   _substitute, try_divide)
+from toriparam.polytope import frame_of
 
 
 def tuple_power(f, m, p):
     """Substitute the tuple into the point monomial of m: prod f_i^{e_i}."""
-    frame = p if isinstance(p, Frame) else frame_of(p)
+    frame = frame_of(p)
     entries = f.entries if hasattr(f, "entries") else tuple(f)
     if len(entries) != frame.ray_count:
         raise LengthMismatch(
@@ -121,3 +126,98 @@ def packed_reproduces(h_raw, content, scalar, tup, p_sys):
     scaled_content = content.scale(scalar)
     return all(raw * scaled_content == target for target, raw
                in zip(h_raw, raw_components(p_sys, tup)))
+
+
+def factor_over(rows, irreducibles):
+    """Each of ``rows`` split over ``irreducibles`` by exact division
+    alone, when the row uses at most one variable and is a constant times
+    a product of their powers; None for it otherwise.
+
+    ``irreducibles`` may be any list of monic, pairwise coprime, squarefree
+    polynomials; the factors of a row are sorted by ``_factor_order``.  The
+    divisions run on primitive integer coefficient lists, and the unit is
+    the row's leading coefficient, as every element is monic.
+    """
+    elements = {}
+    for f in irreducibles:
+        if len(used := f.used_variables()) == 1:
+            elements.setdefault(used, []).append(
+                (f, _int_coefficients(f, used[0])))
+    out = []
+    for p in rows:
+        used = p.used_variables()
+        if len(used) != 1:
+            out.append(None if used or p.is_zero()
+                       else Factorization(p.constant_value(), ()))
+            continue
+        rest = _int_coefficients(p, used[0])
+        found = []
+        for f, g in elements.get(used, ()):
+            mult = 0
+            while (q := _exact_quotient(rest, g)) is not None:
+                rest, mult = q, mult + 1
+            if mult:
+                found.append((f, mult))
+        found.sort(key=lambda fk: _factor_order(fk[0]))
+        out.append(None if len(rest) > 1 else
+                   Factorization(p.leading_coefficient(), tuple(found)))
+    return out
+
+
+def split_by_hints(rows, hints):
+    """Each row divided by each primitive hint in turn, as often as it
+    divides: the hints that divide, with their multiplicities, and the
+    constant left; IncompleteHints when a row leaves a nonconstant
+    cofactor.  Every row is divided on packed integers first, by the
+    proof of ``polynomials._split_packed``, and in the ring when the
+    guard fails for both packings or the packed values would not fit."""
+    images = [_int_image(hint) for hint in hints]
+    out = []
+    for poly in rows:
+        n = poly.nvars
+        p = _int_image(poly)
+        D = max(p.degrees)
+        B = sum(p.degrees) + p.norm.bit_length() + 3
+        usable = []
+        for hint, im in zip(hints, images):
+            if all(map(int.__le__, im.degrees, p.degrees)):
+                usable.append((hint, im))
+                B = max(B, (im.norm + 1).bit_length() + 1)
+        fits = (all(hint.nvars == n for hint in hints)
+                and _packed_fits(B, D, n))
+        for step in (1, -1)[:n] if fits else ():
+            value = _packed_value([(e[::step], c) for e, c in p.terms], B, D)
+            found = []
+            norm = 1
+            room = list(p.degrees)
+            for hint, im in usable:
+                h = _packed_value([(e[::step], c) for e, c in im.terms], B, D)
+                cap = min(r // d for r, d in zip(room, im.degrees) if d)
+                mult = 0
+                while mult < cap:
+                    q, r = divmod(value, h)
+                    if r:
+                        break
+                    value, mult = q, mult + 1
+                if mult:
+                    found.append((hint, mult))
+                    norm *= im.norm ** mult
+                    room = [r - mult * d for r, d in zip(room, im.degrees)]
+            if abs(value) * norm + p.norm < 1 << (B - 2):
+                out.append(Factorization(Fraction(value, p.den),
+                                         tuple(found)))
+                break
+        else:
+            found = []
+            rest = poly
+            for hint in hints:
+                mult = 0
+                while (q := try_divide(rest, hint)) is not None:
+                    rest, mult = q, mult + 1
+                if mult:
+                    found.append((hint, mult))
+            if not rest.is_constant():
+                raise IncompleteHints(
+                    "hints leave a non-constant cofactor behind")
+            out.append(Factorization(rest.constant_value(), tuple(found)))
+    return out

@@ -25,7 +25,7 @@ from toriparam.errors import NoPreimage, NotUnivariate
 from toriparam.parametrization import (ParamTuple, compose_system,
                                        full_monomial_system,
                                        subset_monomial_system)
-from toriparam.polynomials import (MultiPoly, _coprime_base, factor_over,
+from toriparam.polynomials import (MultiPoly, _coprime_base, _split,
                                    factor_univariate, gcd_many, normalized,
                                    parse)
 from toriparam.polytope import frame_of, normal_fan, polytope_from_vertices
@@ -76,10 +76,14 @@ class TestCoprimeBase:
     @given(inputs())
     def test_every_input_is_a_unit_times_base_powers(self, polys):
         base = _coprime_base(polys)
-        for p, fac in zip(polys, factor_over(polys, base), strict=True):
-            assert fac is not None
-            assert fac.unit == p.leading_coefficient()
-            assert fac.expand(p.nvars) == p
+        for p, split in zip(polys, _split(polys, base), strict=True):
+            assert split is not None
+            unit, mults = split
+            assert unit == p.leading_coefficient()
+            product = MultiPoly.constant(p.nvars, unit)
+            for b, m in zip(base, mults, strict=True):
+                product = product * b ** m
+            assert product == p
 
     @SETTINGS
     @given(inputs())

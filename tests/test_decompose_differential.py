@@ -15,8 +15,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from toriparam.decomposition import (_CANDIDATE_CAP, DecompositionResult,
-                                     _cone_solutions, _fit_scalars,
-                                     _multiplicity, _verify,
+                                     _cone_solutions, _fit_scalars, _verify,
                                      decompose_univariate)
 from toriparam.errors import (BudgetExceeded, InternalError, LengthMismatch,
                               MultiParameterUnsupported, NoPreimage,
@@ -26,9 +25,8 @@ from toriparam.linalg import IntMat
 from toriparam.parametrization import (ParamTuple, compose_system,
                                        full_monomial_system,
                                        subset_monomial_system)
-from toriparam.polynomials import (MultiPoly, factor_over,
-                                   factor_univariate, gcd_many, parse, render,
-                                   try_divide)
+from toriparam.polynomials import (MultiPoly, _split, factor_univariate,
+                                   gcd_many, parse, render, try_divide)
 from toriparam.polytope import (frame_of, lattice_points, normal_fan,
                                 polytope_from_vertices)
 from toriparam.resolution import minimal_resolution, resolved_frame
@@ -45,6 +43,13 @@ def oracle_factorizer(poly):
         raise MultiParameterUnsupported(
             "a component mixes parameters after content extraction; "
             "supply factor hints") from exc
+
+
+def _multiplicity(fac, poly):
+    for f, mult in fac.factors:
+        if f == poly:
+            return mult
+    return 0
 
 
 def oracle_decompose(h_raw, p_sys, fan, factorizer=oracle_factorizer):
@@ -275,28 +280,28 @@ def rows(draw):
     return p, irreducibles
 
 
-class TestFactorOver:
+class TestSplitRows:
     @SETTINGS
     @given(rows())
     def test_matches_factor_univariate_or_refuses(self, case):
         p, irreducibles = case
         expected = factor_univariate(p)
-        (got,) = factor_over([p], irreducibles)
+        (got,) = _split([p], irreducibles)
         if all(q in irreducibles for q, _ in expected.factors):
-            assert got == expected
+            mults = dict(expected.factors)
+            assert got == (expected.unit,
+                           [mults.get(q, 0) for q in irreducibles])
         else:
             assert got is None
 
-    def test_two_variables_are_refused(self):
+    def test_two_variables_split(self):
         u1 = parse("u + 1", 2, "y")
         v1 = parse("v + 1", 2, "y")
-        assert factor_over([u1 * v1], [u1, v1]) == [None]
-        assert factor_over([v1 ** 2], [u1]) == [None]
-        assert factor_over([v1 ** 2, u1 * v1], [v1]) == \
-            [factor_univariate(v1 ** 2), None]
+        assert _split([u1 * v1], [u1, v1]) == [(1, [1, 1])]
+        assert _split([v1 ** 2], [u1]) == [None]
+        assert _split([v1 ** 2, u1 * v1], [v1]) == [(1, [2]), None]
 
     def test_zero_and_constants(self):
         u1 = parse("u + 1", 1, "y")
-        assert factor_over([MultiPoly.zero(1), MultiPoly.constant(1, -3)],
-                           [u1]) == \
-            [None, factor_univariate(MultiPoly.constant(1, -3))]
+        assert _split([MultiPoly.zero(1), MultiPoly.constant(1, -3)],
+                      [u1]) == [(0, [0]), (-3, [0])]

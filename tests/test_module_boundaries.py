@@ -4,7 +4,7 @@ Every module under ``src/toriparam`` is parsed with ``ast``.  A module may
 not import a name it never uses (``__init__`` excepted: its imports are
 the public API), and only ``polynomials`` may reference the names of the
 packed kernel; every other module reaches it through ``_expand``,
-``_reproduces`` and ``_split_by_hints``.
+``_reproduces`` and ``_split``.
 """
 
 import ast

@@ -4,10 +4,11 @@ replace.
 ``polynomials._reproduces`` decides target = content * scalar *
 composition by one packed integer per component, for
 ``decomposition._verify`` and for ``check_implicit`` (relation(h) = 0);
-``polynomials._split_by_hints`` finds the hint multiplicities of
-``decompose_with_hints`` by integer division (the lemma is in the
-``polynomials`` docstring), and ``polynomials._expand`` is the ring
-expansion that compose and the ring paths share.  The oracles below are
+``polynomials._split`` finds the hint multiplicities of
+``decompose_with_hints`` by integer division on rows in several
+variables (the lemma is in the ``polynomials`` docstring), and
+``polynomials._expand`` is the ring expansion that compose and the ring
+paths share.  The oracles below are
 the ring computations these replaced: compose-and-compare, the greedy
 ``try_divide`` loop, the expanded relation, and ``tests/oracles.py``'s
 ``raw_components`` and ``packed_reproduces``.  Each case is also run with
@@ -37,7 +38,7 @@ from toriparam.parametrization import (LatticePolynomial, ParamSystem,
                                        subset_monomial_system)
 from toriparam.polynomials import (Factorization, MultiPoly, _expand,
                                    _int_image, _packed_value, _reproduces,
-                                   _split_by_hints, normalized, try_divide)
+                                   _split, normalized, try_divide)
 from toriparam.polytope import frame_of, lattice_points, polytope_from_vertices
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -160,8 +161,13 @@ def reproduces(h_raw, content, scalar, tup, p_sys):
 
 
 def split_one(poly, hints):
-    (fac,) = _split_by_hints([poly], hints)
-    return fac
+    """``_split`` of one row, stated as ``division_loop`` states it."""
+    (got,) = _split([poly], hints)
+    if got is None:
+        raise IncompleteHints("hints leave a non-constant cofactor behind")
+    unit, mults = got
+    return Factorization(unit, tuple((h, m) for h, m in zip(hints, mults)
+                                     if m))
 
 
 def outcome(fn, *args):
@@ -392,9 +398,11 @@ def test_hint_factorization_matches_the_division_loop(n, data):
 
 def test_incomplete_hints_raise_from_the_loop(monkeypatch):
     """The packed guard proves nothing for an incomplete hint list, so the
-    ring division runs and raises."""
-    poly = polynomials.parse("(u + 1)^2*(u + 2)", 1, "y")
-    hints = [polynomials.parse("u + 1", 1, "y")]
+    ring division runs on the row in two variables, and decomposition
+    raises."""
+    poly = polynomials.parse("(u + v)^2*(u + 2*v + 1)", 2, "y")
+    hints = [polynomials.parse("u + v", 2, "y")]
+    target = [poly] + [MultiPoly.one(2)] * 3
     divisors = []
 
     def recording(p, d):
@@ -403,7 +411,7 @@ def test_incomplete_hints_raise_from_the_loop(monkeypatch):
 
     monkeypatch.setattr(polynomials, "try_divide", recording)
     with pytest.raises(IncompleteHints):
-        _split_by_hints([poly], hints)
+        decompose_with_hints(target, SYSTEMS[0], FRAMES["square"].fan, hints)
     assert divisors == hints * 3
     with pytest.raises(IncompleteHints):
         division_loop(poly, hints)
@@ -424,7 +432,7 @@ def test_cyclotomic_coincidence_is_refused(monkeypatch):
              for t in ("u + 1", "v + 1", "u + v + 1")]
     want = division_loop(poly, hints)
     monkeypatch.setattr(polynomials, "try_divide", None)
-    (got,) = _split_by_hints([poly], hints)
+    got = split_one(poly, hints)
     assert got == want
     assert [m for _, m in got.factors] == [2, 2]
 
